@@ -11,6 +11,11 @@ use steelworks_xdpsim::prelude::*;
 const PAYLOAD: usize = 50;
 /// Cycle time of every reflection flow.
 pub const CYCLE: NanoDur = NanoDur(1_000_000);
+/// Turnaround of the echo baselines. It is non-zero so that the echo
+/// re-sends each frame through a self-timer, as an `XdpHost` does for
+/// an XDP_TX verdict; an echo baseline then has a reflecting host's
+/// event shape without its VM.
+const TURNAROUND: NanoDur = NanoDur(5_000);
 
 /// A reflection program under test: name, whether it loops, and a
 /// fresh `(program, maps)` pair per attach.
@@ -82,9 +87,12 @@ pub enum Path {
     Link,
     /// The same with the Fig. 3 tap on the link.
     Tapped,
-    /// `flows` staggered sources through a learning switch to a host
-    /// that echoes every frame back (so the switch learns its port and
-    /// forwards instead of flooding, as it does for the XDP host).
+    /// One source, one link, an echo device that sends every frame back:
+    /// link hops there and back plus the turnaround timer.
+    Echo,
+    /// `flows` staggered sources through a learning switch to an echo
+    /// device and back (so the switch learns its port and forwards
+    /// instead of flooding, as it does for the XDP host).
     Switched(u32),
     /// One source feeding an XDP host that reflects every frame.
     Xdp(Prog),
@@ -103,10 +111,11 @@ fn frame_replay(
     let mut sim = Simulator::new(1);
     let sink_mac = MacAddr::local(0x0100);
     let frames = match path {
-        Path::Link | Path::Tapped | Path::Xdp(_) => {
+        Path::Link | Path::Tapped | Path::Echo | Path::Xdp(_) => {
             let src = sim.add_node(source(0, sink_mac, cycles, 1));
             let dst = match path {
                 Path::Xdp(p) => sim.add_node(p.attach()),
+                Path::Echo => sim.add_node(EchoDevice::new("echo", TURNAROUND)),
                 _ => sim.add_node(CounterSink::new("sink")),
             };
             let link = sim.connect(src, PortId(0), dst, PortId(0), LinkSpec::gigabit());
@@ -128,7 +137,7 @@ fn frame_replay(
                 let src = sim.add_node(source(i, sink_mac, cycles, flows));
                 sim.connect(src, PortId(0), sw, PortId(i as usize), LinkSpec::gigabit());
             }
-            let dst = sim.add_node(EchoDevice::new("echo", NanoDur::ZERO));
+            let dst = sim.add_node(EchoDevice::new("echo", TURNAROUND));
             sim.connect(
                 sw,
                 PortId(flows as usize),

@@ -41,12 +41,17 @@ const REFLECT_CYCLES: u64 = 10_000;
 /// Frames per source of `campus`: one keeps an artifact at ~2–3 s, so a
 /// run holds several.
 const CAMPUS_CYCLES: u64 = 1;
-/// Distinct specs that warm the serve workloads' cache.
-const SERVE_MIX: usize = 32;
-/// One request in this many posts a fresh spec on `serve_churn`: about a
-/// thousand misses per 25-s run, enough for a p90 and few enough that
-/// every miss body can be re-rendered and checked after the window.
-const CHURN_MISS_EVERY: u64 = 512;
+/// Specs drawn from `sample_mix` to warm the serve workloads' cache. At
+/// 256, one set-up is hundreds of round trips, so a scheduling stall of a
+/// few ms moves a set-up by a few percent; at 32 it could double one.
+const SERVE_MIX: usize = 256;
+/// One request in this many posts a fresh spec on `serve_churn`. No
+/// caller has a steady mix (the hermetic gate posts each spec cold, then
+/// warm: one miss in two). At one in 16 the misses take about 40% of
+/// the two cores and the hits most of the rest, so a change to either
+/// path shows. At one in two a connection spends over 99% of its time
+/// waiting on misses; at one in 512 the workload is almost `serve_hit`.
+const CHURN_MISS_EVERY: u64 = 16;
 
 struct Args {
     workload: String,
@@ -114,9 +119,13 @@ fn out_dir() -> PathBuf {
 fn run(args: &Args) -> Report {
     // Spec seeds travel as JSON integers, which stop at i64::MAX.
     let seed = args.seed & (i64::MAX as u64);
-    let serve = |conns, miss_every| serve::Config {
+    // Both serve workloads keep one connection per core busy. On one
+    // connection the other core idles between requests, and the hit
+    // latency then includes how fast the virtual machine wakes an idle
+    // core: `hit_rps` swung between 9k and 22k req/s from run to run.
+    let serve = |miss_every| serve::Config {
         mix: SERVE_MIX,
-        conns,
+        conns: jobs(),
         miss_every,
         seed,
         jobs: jobs(),
@@ -139,13 +148,8 @@ fn run(args: &Args) -> Report {
             args.trace,
             None,
         ),
-        "serve_hit" => serve::run(&serve(1, 0), args.seconds, args.trace, false),
-        _ => serve::run(
-            &serve(jobs(), CHURN_MISS_EVERY),
-            args.seconds,
-            args.trace,
-            false,
-        ),
+        "serve_hit" => serve::run(&serve(0), args.seconds, args.trace, false),
+        _ => serve::run(&serve(CHURN_MISS_EVERY), args.seconds, args.trace, false),
     }
 }
 

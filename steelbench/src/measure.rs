@@ -16,80 +16,6 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Sub-buckets per power of two in a [`Histogram`] (2^10: 0.1% steps).
-const SUB_BITS: u32 = 10;
-
-/// A latency histogram of fixed size with 0.1% resolution, so the
-/// benchmark's own memory does not grow with the requests it completes
-/// (which would move `peak_rss_mb` whenever throughput moves).
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    n: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            counts: vec![0; 56 << SUB_BITS],
-            n: 0,
-        }
-    }
-}
-
-impl Histogram {
-    fn index(v: u64) -> usize {
-        if v < 1 << SUB_BITS {
-            return v as usize;
-        }
-        let shift = 63 - v.leading_zeros() - SUB_BITS;
-        (((shift + 1) << SUB_BITS) as usize) + ((v >> shift) as usize - (1 << SUB_BITS))
-    }
-
-    /// The midpoint of bucket `i`.
-    fn value(i: usize) -> f64 {
-        let sub = 1usize << SUB_BITS;
-        if i < sub {
-            return i as f64;
-        }
-        let shift = (i / sub - 1) as u32;
-        let low = ((sub + i % sub) as u64) << shift;
-        low as f64 + ((1u64 << shift) as f64 - 1.0) / 2.0
-    }
-
-    /// Count one sample.
-    pub fn record(&mut self, v: u64) {
-        self.counts[Self::index(v)] += 1;
-        self.n += 1;
-    }
-
-    /// Samples recorded.
-    pub fn len(&self) -> u64 {
-        self.n
-    }
-
-    /// Add another histogram's samples.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.n += other.n;
-    }
-
-    /// Nearest-rank quantile (`q` in `0..=1`); 0 when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let rank = ((q * self.n as f64).ceil() as u64).clamp(1, self.n.max(1));
-        let mut seen = 0;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank && *c > 0 {
-                return Self::value(i);
-            }
-        }
-        0.0
-    }
-}
-
 /// The process's resident-set high-water mark in MB (`VmHWM`).
 pub fn peak_rss_mb() -> f64 {
     std::fs::read_to_string("/proc/self/status")
@@ -348,27 +274,5 @@ impl Report {
     pub fn count(&mut self, name: &'static str, value: u64, note: &str) {
         self.metric(name, value as f64, "count", note);
         self.counter(name, value);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn histogram_quantiles_track_exact_nearest_rank() {
-        let mut h = Histogram::default();
-        let mut exact: Vec<u64> = (0..5000u64)
-            .map(|i| (i * 7919) % 900_000 + 20_000)
-            .collect();
-        exact.iter().for_each(|&v| h.record(v));
-        exact.sort_unstable();
-        for q in [0.5, 0.9, 0.99] {
-            let want = exact[(q * exact.len() as f64).ceil() as usize - 1] as f64;
-            let got = h.quantile(q);
-            assert!((got - want).abs() <= want / 1000.0, "q{q}: {got} vs {want}");
-        }
-        assert_eq!(h.len(), 5000);
-        assert_eq!(Histogram::default().quantile(0.5), 0.0);
     }
 }

@@ -3,7 +3,7 @@
 //! connections, the way `steelserve post` and the hermetic gate call it.
 
 use crate::layers::span_median;
-use crate::measure::{median, peak_rss_mb, Histogram, Metric, Report, SplitRow, Tracer};
+use crate::measure::{median, peak_rss_mb, Metric, Report, SplitRow, Tracer};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -18,6 +18,7 @@ use steelserve::server::{bind, ServerConfig};
 use steelserve::sha::sha256_hex;
 use steelserve::spec::{sample_mix, Spec};
 use steelworks_netsim::rng::SimRng;
+use steelworks_netsim::stats::quantile_sorted;
 
 /// Workload shape.
 #[derive(Clone, Debug)]
@@ -94,11 +95,9 @@ impl Fresh {
 struct Running {
     addr: String,
     handle: JoinHandle<std::io::Result<()>>,
-    dir: PathBuf,
 }
 
 fn start(dir: &Path, jobs: usize) -> Running {
-    let _ = std::fs::remove_dir_all(dir);
     let server = bind(&ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         jobs,
@@ -110,12 +109,11 @@ fn start(dir: &Path, jobs: usize) -> Running {
     Running {
         addr,
         handle: std::thread::spawn(move || server.serve_forever()),
-        dir: dir.to_path_buf(),
     }
 }
 
-/// Read `GET /stats`, shut the server down, wait for it, and remove
-/// its cache.
+/// Read `GET /stats`, shut the server down and wait for it. The cache
+/// directory stays, so the next server can start on it.
 fn stop(r: Running) -> Option<Value> {
     let mut client = Client::connect(&r.addr);
     let stats = client
@@ -125,7 +123,6 @@ fn stop(r: Running) -> Option<Value> {
     let _ = client.request("POST", "/shutdown", b"");
     drop(client);
     let _ = r.handle.join();
-    let _ = std::fs::remove_dir_all(&r.dir);
     stats
 }
 
@@ -134,16 +131,20 @@ fn ok_response(resp: &steelserve::http::Response, want: &str) -> bool {
     resp.status == 200 && header(&resp.headers, "X-Steelserve-Cache") == Some(want)
 }
 
-/// Post every warm spec once: each must be a miss with the right body.
-fn warm_up(r: &Running, warm: &Warm, report: &mut Report) {
+/// Post every warm spec once: each must have disposition `want` and the
+/// right body.
+fn warm_up(r: &Running, warm: &Warm, want: &str, report: &mut Report) {
     let mut client = Client::connect(&r.addr);
     for (body, expected) in warm.bodies.iter().zip(&warm.expected) {
         let ok = client
             .request("POST", "/run", body.as_bytes())
-            .is_ok_and(|resp| ok_response(&resp, "miss") && resp.body == expected.as_bytes());
+            .is_ok_and(|resp| ok_response(&resp, want) && resp.body == expected.as_bytes());
         report.checked(ok);
     }
 }
+
+/// Timed set-ups (server restarts) per run; `setup_s` is their median.
+const SETUPS: usize = 41;
 
 /// Time slices per window. Hit percentiles and rates are medians over
 /// the slices (1 s each at `--seconds 25`), so a host hiccup of a few
@@ -160,7 +161,8 @@ struct Seen {
     slice_p50: Vec<f64>,
     slice_p99: Vec<f64>,
     hits: u64,
-    misses: Histogram,
+    /// Round trip (ns) of every miss.
+    misses: Vec<f64>,
     /// `(fresh spec index, body SHA-256)` of each miss, checked after
     /// the window.
     miss_digests: Vec<(usize, String)>,
@@ -178,15 +180,12 @@ impl Seen {
     }
 
     /// Record the hit percentiles of one connection's slice.
-    fn close_slice(&mut self, lat: &mut Vec<u64>) {
-        if lat.is_empty() {
-            return;
+    fn close_slice(&mut self, lat: &mut Vec<f64>) {
+        lat.sort_by(f64::total_cmp);
+        if let (Some(p50), Some(p99)) = (quantile_sorted(lat, 0.50), quantile_sorted(lat, 0.99)) {
+            self.slice_p50.push(p50);
+            self.slice_p99.push(p99);
         }
-        lat.sort_unstable();
-        let rank =
-            |q: f64| lat[((q * lat.len() as f64).ceil() as usize).clamp(1, lat.len()) - 1] as f64;
-        self.slice_p50.push(rank(0.50));
-        self.slice_p99.push(rank(0.99));
         lat.clear();
     }
 }
@@ -224,7 +223,7 @@ fn client_loop(
         let resp = t.span("steelserve.post_run", op, |_| {
             client.request("POST", "/run", body)
         });
-        let ns = sent.elapsed().as_nanos() as u64;
+        let ns = sent.elapsed().as_nanos() as f64;
         let s = (start.elapsed().as_secs_f64() / slice) as usize;
         if s != cur {
             seen.close_slice(&mut lat);
@@ -246,7 +245,7 @@ fn client_loop(
         }
         match (resp, fresh_spec) {
             (Ok(r), Some((idx, _))) => {
-                seen.misses.record(ns);
+                seen.misses.push(ns);
                 seen.miss_digests.push((idx, sha256_hex(&r.body)));
             }
             _ => {
@@ -298,7 +297,7 @@ fn window(
         all.slice_p50.extend(seen.slice_p50);
         all.slice_p99.extend(seen.slice_p99);
         all.hits += seen.hits;
-        all.misses.merge(&seen.misses);
+        all.misses.extend(seen.misses);
         all.miss_digests.extend(seen.miss_digests);
         all.attempted += seen.attempted;
         all.failed += seen.failed;
@@ -320,6 +319,9 @@ struct E2e {
 
 fn e2e(seen: &Seen, seconds: f64) -> E2e {
     let slice = seconds / SLICES as f64;
+    let mut misses = seen.misses.clone();
+    misses.sort_by(f64::total_cmp);
+    let miss_ms = |q| quantile_sorted(&misses, q).unwrap_or(f64::NAN) / 1e6;
     let rate = |counts: &[u64]| {
         let per_s: Vec<f64> = counts.iter().map(|&n| n as f64 / slice).collect();
         median(&per_s)
@@ -327,17 +329,23 @@ fn e2e(seen: &Seen, seconds: f64) -> E2e {
     E2e {
         hit_p50_us: median(&seen.slice_p50) / 1e3,
         hit_p99_us: median(&seen.slice_p99) / 1e3,
-        miss_p50_ms: seen.misses.quantile(0.50) / 1e6,
-        miss_p90_ms: seen.misses.quantile(0.90) / 1e6,
+        miss_p50_ms: miss_ms(0.50),
+        miss_p90_ms: miss_ms(0.90),
         hit_rps: rate(&seen.slice_hits),
         all_rps: rate(&seen.slice_done),
         hits: seen.hits,
-        misses: seen.misses.len(),
+        misses: seen.misses.len() as u64,
     }
 }
 
-/// Check each miss body against `figures::run_spec` for its spec.
-/// Returns the run_spec seconds of each fresh spec (traced runs only).
+/// Miss bodies re-rendered and compared per run. Every miss is checked
+/// for status and disposition in the window; re-rendering every body
+/// too would cost as much CPU again as the misses did in the window, so
+/// a seeded sample of this many is checked against `figures::run_spec`.
+const MISS_BODY_CHECKS: usize = 256;
+
+/// Check a seeded sample of miss bodies against `figures::run_spec` for
+/// their specs. Returns the sampled specs with their artifacts.
 fn check_misses(
     cfg: &Config,
     seen: &Seen,
@@ -345,24 +353,35 @@ fn check_misses(
     report: &mut Report,
     t: &mut Tracer,
 ) -> Vec<(Spec, String)> {
-    let specs = fresh.lock().expect("clients have exited").specs.clone();
+    let mut picks = seen.miss_digests.clone();
+    let n = picks.len().min(MISS_BODY_CHECKS);
+    let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0x5A_0000);
+    // Partial Fisher-Yates: the first `n` picks are a uniform sample.
+    for i in 0..n {
+        let j = i + rng.below((picks.len() - i) as u64) as usize;
+        picks.swap(i, j);
+    }
+    picks.truncate(n);
+    let sample: Vec<Spec> = {
+        let stream = fresh.lock().expect("clients have exited");
+        picks
+            .iter()
+            .map(|(idx, _)| stream.specs[*idx].clone())
+            .collect()
+    };
     let artifacts: Vec<String> = if t.enabled() {
-        specs
+        sample
             .iter()
             .enumerate()
             .map(|(i, s)| t.span("steelserve.run_spec_jobs1", i as u64, |_| run_spec(s, 1)))
             .collect()
     } else {
-        steelpar::run(cfg.jobs, specs.clone(), |s| run_spec(&s, 1))
+        steelpar::run(cfg.jobs, sample.clone(), |s| run_spec(&s, 1))
     };
-    for (idx, digest) in &seen.miss_digests {
-        report.checked(
-            artifacts
-                .get(*idx)
-                .is_some_and(|a| sha256_hex(a.as_bytes()) == *digest),
-        );
+    for ((_, digest), art) in picks.iter().zip(&artifacts) {
+        report.checked(sha256_hex(art.as_bytes()) == *digest);
     }
-    specs.into_iter().zip(artifacts).collect()
+    sample.into_iter().zip(artifacts).collect()
 }
 
 /// Exact bytes of a request and its response for a body of `req` bytes
@@ -411,19 +430,19 @@ fn transport_us(t: &mut Tracer, warm: &Warm, seed: u64, rounds: usize) -> f64 {
     let mut c = TcpStream::connect(addr).expect("connect to the echo socket");
     c.set_nodelay(true).expect("set TCP_NODELAY");
     let mut buf = vec![0u8; largest];
-    let mut rtts = Histogram::default();
+    let mut rtts = Vec::with_capacity(plan.len());
     t.span("transport.echo", 0, |_| {
         for &[qh, qb, rh, rb] in &plan {
             let sent = Instant::now();
             c.write_all(&bytes[..qh]).expect("write request head");
             c.write_all(&bytes[..qb]).expect("write request body");
             c.read_exact(&mut buf[..rh + rb]).expect("read response");
-            rtts.record(sent.elapsed().as_nanos() as u64);
+            rtts.push(sent.elapsed().as_nanos() as f64);
         }
     });
     drop(c);
     echo.join().expect("echo thread").expect("echo socket");
-    rtts.quantile(0.5) / 1e3
+    median(&rtts) / 1e3
 }
 
 /// Median µs per call of `f` over every item, in `reps` timed batches.
@@ -470,7 +489,7 @@ fn stats_counters(report: &mut Report, stats: Option<&Value>) {
 /// a self-test can check that mismatches are counted.
 pub fn run(cfg: &Config, seconds: f64, trace: bool, tamper: bool) -> Report {
     let mut report = Report {
-        check: "correctness: every response is 200 with the expected X-Steelserve-Cache disposition and a body equal to figures::run_spec".to_string(),
+        check: format!("correctness: every response is 200 with the expected X-Steelserve-Cache disposition; warming and hit bodies equal figures::run_spec, miss bodies on a seeded sample of {MISS_BODY_CHECKS}"),
         ..Report::default()
     };
     let mut warm = warm_set(cfg);
@@ -480,26 +499,26 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, tamper: bool) -> Report {
     report.counter("warm_specs", warm.specs.len());
     report.counter("warm_sha256", sha256_hex(warm.expected.concat().as_bytes()));
 
-    // Set-up: bind a server, then warm it with one POST per distinct spec.
+    // The cache is filled once, cold: the server computes every warm
+    // spec as a miss. Set-up is then timed as a restart on that cache:
+    // bind, then warm the memo with one POST per distinct spec, each a hit
+    // read from disk. Timing the cold fill instead would time the
+    // run_spec cost of whichever specs the seed draws.
     let dir = cfg.scratch.join(format!("cache-{}", std::process::id()));
-    let mut server = None;
-    let setups: Vec<f64> = (0..5)
-        .map(|_| {
-            if let Some(previous) = server.take() {
-                stop(previous);
-            }
-            let t0 = Instant::now();
-            let r = start(&dir, cfg.jobs);
-            warm_up(&r, &warm, &mut report);
-            let secs = t0.elapsed().as_secs_f64();
-            server = Some(r);
-            secs
-        })
-        .collect();
-    let server = server.expect("five set-ups ran");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut server = start(&dir, cfg.jobs);
+    warm_up(&server, &warm, "miss", &mut report);
+    let mut setups = Vec::with_capacity(SETUPS);
+    for _ in 0..SETUPS {
+        stop(server);
+        let t0 = Instant::now();
+        server = start(&dir, cfg.jobs);
+        warm_up(&server, &warm, "hit", &mut report);
+        setups.push(t0.elapsed().as_secs_f64());
+    }
     let setup_s = median(&setups);
     let setup_note = format!(
-        "median of 5 set-ups: bind + {} warming POSTs",
+        "median of {SETUPS} set-ups: bind on the filled cache + {} warming POSTs",
         warm.specs.len()
     );
     let fresh = Fresh::new(cfg.seed, &warm);
@@ -516,6 +535,7 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, tamper: bool) -> Report {
     let mut t = Tracer::new(trace, Instant::now(), 0);
     let traced = trace.then(|| window(cfg, &server, &warm, &fresh, seconds_each, &mut t));
     let stats = stop(server);
+    let _ = std::fs::remove_dir_all(&dir);
     let untraced = e2e(&seen, seconds_each);
     report.attempted += seen.attempted;
     report.failed += seen.failed;
@@ -563,8 +583,8 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, tamper: bool) -> Report {
             });
         } else {
             // Only without churn: beside misses that hold a core for up to
-            // ~40 ms, the hit tail depends on which slices a heavy miss
-            // lands in, and its run-to-run spread reached 0.49.
+            // ~50 ms, the hit tail depends on which slices a slow miss lands
+            // in, and its run-to-run spread on serve_churn exceeded 2.
             v.push(Metric {
                 name: "hit_p99_us",
                 value: m.hit_p99_us,
@@ -575,7 +595,7 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, tamper: bool) -> Report {
                 name: "hit_rps",
                 value: m.hit_rps,
                 unit: "req/s",
-                note: format!("{hits}, {} connection, closed loop", cfg.conns),
+                note: format!("{hits}, {} connections, closed loop", cfg.conns),
             });
         }
         v
@@ -638,6 +658,17 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, tamper: bool) -> Report {
     } else {
         0.0
     };
+    if churn {
+        // Fill the memo to the run's final entry count. Unsampled miss
+        // bodies were not kept; the lookups below never read these values.
+        let sampled: std::collections::BTreeSet<String> =
+            fresh_artifacts.iter().map(|(s, _)| s.key()).collect();
+        let stream = fresh.lock().expect("clients have exited");
+        for spec in stream.specs.iter().filter(|s| !sampled.contains(&s.key())) {
+            cache.store(spec, "").expect("store a placeholder entry");
+        }
+    }
+    let entries = cache.stats().stores;
     let lookup = per_call_us(&mut t, "steelserve.cache_lookup", &warm.keys, 2000, |k| {
         std::hint::black_box(cache.lookup(k).expect("stored keys hit"));
     });
@@ -661,10 +692,7 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, tamper: bool) -> Report {
         "serve.lookup_us",
         lookup,
         "us",
-        format!(
-            "ResultCache::lookup per call, {} entries",
-            warm.specs.len() + fresh_artifacts.len()
-        ),
+        format!("ResultCache::lookup per call, {entries} entries"),
     );
     report.metric(
         "serve.transport_us",
@@ -687,7 +715,7 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, tamper: bool) -> Report {
             run_spec_ms,
             "ms",
             format!(
-                "figures::run_spec at jobs 1, median over {} fresh specs",
+                "figures::run_spec at jobs 1, median over {} sampled fresh specs",
                 fresh_artifacts.len()
             ),
         );
