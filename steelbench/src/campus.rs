@@ -3,8 +3,8 @@
 //! netsim at 10⁵ nodes.
 
 use crate::check::{self, artifact_window, Expected};
-use crate::layers::{queue_op_ns, span_median};
-use crate::measure::{median, peak_rss_mb, Metric, Report, SplitRow, Tracer};
+use crate::layers::{span_median, UnitCosts};
+use crate::measure::{median, peak_rss_mb, serial_ops, Metric, Report, SplitRow, Tracer};
 use std::time::Instant;
 use steelserve::figures::run_spec;
 use steelserve::spec::{CampusScale, Spec};
@@ -115,8 +115,13 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, expected: Option<Expected>) 
     let mut t = Tracer::new(trace, Instant::now(), 0);
     // Set-up: build, freeze and audit the world without running a cycle.
     let (setup_s, empty) = campus_runs(&mut t, "core.run_campus_0_cycles", cfg, 0, 5);
-    let setup_note =
-        "median of 5 set-ups: run_campus at 0 cycles (build, freeze, audit)".to_string();
+    let setup = Metric {
+        name: "setup_s",
+        value: setup_s,
+        unit: "s",
+        note: "median of 5 set-ups: run_campus at 0 cycles (build, freeze, audit)".to_string(),
+    };
+    let what = format!("artifacts at jobs {}", cfg.jobs);
 
     if !trace {
         let times = artifact_window(
@@ -127,13 +132,8 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, expected: Option<Expected>) 
             &mut report,
             &mut Tracer::off(),
         );
-        report.metric("setup_s", setup_s, "s", setup_note);
-        report.metric(
-            "run_s",
-            median(&times),
-            "s",
-            format!("median of {} artifacts", times.len()),
-        );
+        report.metrics.push(setup);
+        report.metrics.extend(serial_ops(&times, &what));
         report.metric(
             "peak_rss_mb",
             peak_rss_mb(),
@@ -159,14 +159,15 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, expected: Option<Expected>) 
     // run_spec at jobs 1 and run_campus back to back: their difference
     // is the render, paired so that a slow host phase hits both.
     let world = cfg.world(cfg.cycles);
-    let (mut full_secs, mut renders, mut full) = (Vec::new(), Vec::new(), None);
+    let (mut full_secs, mut renders, mut full, mut art) = (Vec::new(), Vec::new(), None, None);
     for rep in 0..3 {
-        let (art, spec_s) = t.timed("steelserve.run_spec_jobs1", rep, || run_spec(&spec, 1));
-        report.checked(expected.matches(&art));
+        let (a, spec_s) = t.timed("steelserve.run_spec_jobs1", rep, || run_spec(&spec, 1));
+        report.checked(expected.matches(&a));
         let (out, campus_s) = t.timed("core.run_campus", rep, || run_campus(&world));
         full_secs.push(campus_s);
         renders.push(spec_s - campus_s);
         full = Some(out);
+        art = Some(a);
     }
     let full = full.expect("three paired runs");
     let full_s = median(&full_secs);
@@ -176,22 +177,23 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, expected: Option<Expected>) 
     let (mid_full_s, mid_full) = campus_runs(&mut t, "core.run_campus_mid", &mid, cfg.cycles, 5);
     let per_event = event_ns((full_s, &full), (setup_s, &empty));
     let per_event_10k = event_ns((mid_full_s, &mid_full), (mid_empty_s, &mid_empty));
-    // One period's worth of operations per batch: every timer re-arms once.
-    let sources = full.sources as usize;
-    let queue = queue_op_ns(
+    // The queue replay holds one timer per source, each re-armed once a period.
+    let served = [(spec.clone(), art.expect("three paired runs"))];
+    let u = UnitCosts::measure(
         &mut t,
-        sources,
+        full.sources as usize,
         cfg.period_us * 1_000,
-        sources.max(1_000),
-        5,
+        &served,
+        &[],
+        &crate::out_dir(),
     );
     let added = full.events_processed.saturating_sub(empty.events_processed) as f64;
-    let queue_s = added * queue * 1e-9;
+    let queue_s = added * u.queue_ns * 1e-9;
 
-    let row = |layer, part: &str, value| SplitRow {
+    let row = |layer, part: &str, secs: f64| SplitRow {
         layer,
         part: part.to_string(),
-        value,
+        value: secs * 1e3,
     };
     // Nothing replays dispatch, links, switches and sinks on their own,
     // so they stay in the residual, together with any error of the
@@ -220,36 +222,25 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, expected: Option<Expected>) 
             residual,
         ),
     ];
-    report.split = Some(("run_s (s per artifact)".to_string(), run_s, rows));
-    report.untraced = vec![
-        Metric {
-            name: "setup_s",
-            value: setup_s,
-            unit: "s",
-            note: setup_note,
-        },
-        Metric {
-            name: "run_s",
-            value: run_s,
-            unit: "s",
-            note: format!("median of {} artifacts", untraced.len()),
-        },
-    ];
-    report.traced = vec![Metric {
-        name: "run_s",
-        value: run_s_traced,
-        unit: "s",
-        note: format!("median of {} artifacts", traced.len()),
-    }];
+    report
+        .splits
+        .push(("op_p50_ms (ms per artifact)".to_string(), run_s * 1e3, rows));
+    report.untraced = vec![setup];
+    report.untraced.extend(serial_ops(&untraced, &what));
+    report.traced = serial_ops(&traced, &what);
 
+    u.report(&mut report);
     report.metric(
-        "netsim.queue_op_ns",
-        queue,
-        "ns",
-        format!(
-            "EventQueue pop+push, {} periodic timers re-armed every {} us",
-            full.sources, cfg.period_us
-        ),
+        "trace.overhead_pct",
+        (run_s_traced - run_s) / run_s * 100.0,
+        "%",
+        "traced op_p50_ms vs untraced op_p50_ms",
+    );
+    report.metric(
+        "split.residual_pct",
+        residual / run_s * 100.0,
+        "%",
+        "residual as a share of op_p50_ms",
     );
     report.metric(
         "netsim.event_ns",
@@ -296,18 +287,6 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, expected: Option<Expected>) 
         "netsim.link_drops",
         full.link_drops,
         "CampusResult.link_drops",
-    );
-    report.metric(
-        "trace.overhead_pct",
-        (run_s_traced - run_s) / run_s * 100.0,
-        "%",
-        "traced run_s vs untraced run_s",
-    );
-    report.metric(
-        "split.residual_pct",
-        residual / run_s * 100.0,
-        "%",
-        "residual as a share of run_s",
     );
     report.spans = Some(t);
     report

@@ -5,11 +5,13 @@
 //! steelbench --pin
 //! ```
 //!
-//! `--trace 0` prints every end-to-end metric of the workload; `--trace
-//! 1` prints its per-layer metrics, writes the spans and the layer split
-//! under `steelbench/out/`, and appends the run to
-//! `steelbench/history.jsonl`. The last line of standard output is one
-//! JSON object: `correct`, `attempted`, `failed`, `metrics`.
+//! `--trace 0` measures the end-to-end metrics; `--trace 1` measures the
+//! per-layer metrics, writes the spans and the layer split under
+//! `steelbench/out/`, and appends the run to `steelbench/history.jsonl`.
+//! Every workload reports every metric `BENCHMARK.json` lists for its
+//! mode, in the same unit; other measurements are printed above as
+//! `metric` lines. The last line of standard output is one JSON object:
+//! `correct`, `attempted`, `failed`, `metrics`.
 
 mod campus;
 mod check;
@@ -52,6 +54,35 @@ const SERVE_MIX: usize = 256;
 /// path shows. At one in two a connection spends over 99% of its time
 /// waiting on misses; at one in 512 the workload is almost `serve_hit`.
 const CHURN_MISS_EVERY: u64 = 16;
+
+/// The end-to-end metrics `BENCHMARK.json` lists, with their units:
+/// what every workload reports with `--trace 0`.
+const END_TO_END: [(&str, &str); 4] = [
+    ("setup_s", "s"),
+    ("op_p50_ms", "ms"),
+    ("ops_per_s", "1/s"),
+    ("peak_rss_mb", "MB"),
+];
+
+/// The per-layer metrics `BENCHMARK.json` lists, with their units: what
+/// every workload reports with `--trace 1`.
+const PER_LAYER: [(&str, &str); 15] = [
+    ("xdpsim.verify_s", "s"),
+    ("xdpsim.lower_s", "s"),
+    ("xdpsim.frame_ns", "ns"),
+    ("xdpsim.loop_frame_ns", "ns"),
+    ("netsim.frame_ns", "ns"),
+    ("netsim.echo_frame_ns", "ns"),
+    ("netsim.tap_frame_ns", "ns"),
+    ("netsim.switch_frame_ns", "ns"),
+    ("netsim.queue_op_ns", "ns"),
+    ("serve.parse_us", "us"),
+    ("serve.key_us", "us"),
+    ("serve.lookup_us", "us"),
+    ("serve.transport_us", "us"),
+    ("trace.overhead_pct", "%"),
+    ("split.residual_pct", "%"),
+];
 
 struct Args {
     workload: String,
@@ -161,28 +192,35 @@ fn json_num(v: f64) -> String {
     }
 }
 
-/// The result line: `correct`, `attempted`, `failed`, `metrics`.
-fn result_json(report: &Report) -> String {
-    let finite = report.metrics.iter().all(|m| m.value.is_finite());
-    let correct = finite && report.failed == 0 && report.attempted > 0;
-    let metrics: Vec<String> = report
-        .metrics
-        .iter()
-        .map(|m| {
-            format!(
-                "\"{}\": {{\"value\": {}, \"unit\": \"{}\"}}",
-                m.name,
-                json_num(m.value),
-                m.unit
-            )
-        })
-        .collect();
-    format!(
+/// The result line: `correct`, `attempted`, `failed`, and exactly the
+/// `listed` metrics. A listed metric that is missing, in another unit
+/// or not finite is an error, not a line without it.
+fn result_json(report: &Report, listed: &[(&str, &str)]) -> Result<String, String> {
+    let mut metrics = Vec::with_capacity(listed.len());
+    for &(name, unit) in listed {
+        let m = report
+            .metrics
+            .iter()
+            .find(|m| m.name == name)
+            .ok_or_else(|| format!("metric {name} was not measured"))?;
+        if m.unit != unit || !m.value.is_finite() {
+            return Err(format!(
+                "metric {name} = {} {}, want a finite value in {unit}",
+                m.value, m.unit
+            ));
+        }
+        metrics.push(format!(
+            "\"{name}\": {{\"value\": {}, \"unit\": \"{unit}\"}}",
+            m.value
+        ));
+    }
+    let correct = report.failed == 0 && report.attempted > 0;
+    Ok(format!(
         "{{\"correct\": {correct}, \"attempted\": {}, \"failed\": {}, \"metrics\": {{{}}}}}",
         report.attempted,
         report.failed,
         metrics.join(", ")
-    )
+    ))
 }
 
 fn metrics_obj(metrics: &[Metric]) -> String {
@@ -201,7 +239,7 @@ fn split_table(args: &Args, report: &Report) -> String {
         "# steelbench {} seed {} — layer split (traced run)",
         args.workload, args.seed
     );
-    if let Some((metric, total, rows)) = &report.split {
+    for (metric, total, rows) in &report.splits {
         let _ = writeln!(s, "{metric} = {total:.6} (untraced median)");
         let _ = writeln!(
             s,
@@ -446,6 +484,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    println!("{}", result_json(&report));
-    ExitCode::SUCCESS
+    let listed: &[(&str, &str)] = if args.trace { &PER_LAYER } else { &END_TO_END };
+    match result_json(&report, listed) {
+        Ok(line) => {
+            println!("{line}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("steelbench: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

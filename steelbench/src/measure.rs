@@ -16,6 +16,26 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
+/// `op_p50_ms` and `ops_per_s` of operations run one after another,
+/// from each one's wall seconds.
+pub fn serial_ops(times: &[f64], what: &str) -> Vec<Metric> {
+    let total: f64 = times.iter().sum();
+    vec![
+        Metric {
+            name: "op_p50_ms",
+            value: median(times) * 1e3,
+            unit: "ms",
+            note: format!("median of {} {what}", times.len()),
+        },
+        Metric {
+            name: "ops_per_s",
+            value: times.len() as f64 / total,
+            unit: "1/s",
+            note: format!("{} {what} / their summed wall time", times.len()),
+        },
+    ]
+}
+
 /// The process's resident-set high-water mark in MB (`VmHWM`).
 pub fn peak_rss_mb() -> f64 {
     std::fs::read_to_string("/proc/self/status")
@@ -236,8 +256,8 @@ pub struct Report {
     pub untraced: Vec<Metric>,
     /// Traced runs: the same end-to-end metrics with tracing on.
     pub traced: Vec<Metric>,
-    /// Traced runs: the end-to-end metric the split divides, and rows.
-    pub split: Option<(String, f64, Vec<SplitRow>)>,
+    /// Traced runs: each end-to-end number split, its value, and rows.
+    pub splits: Vec<(String, f64, Vec<SplitRow>)>,
     /// Traced runs: the spans recorded.
     pub spans: Option<Tracer>,
 }

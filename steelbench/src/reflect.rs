@@ -3,13 +3,15 @@
 //! runs, 3 loop programs) through `steelserve::figures::run_spec`.
 
 use crate::check::{self, artifact_window, Expected};
-use crate::layers::{frame_ns, queue_op_ns, span_median, Path, Prog, CYCLE};
-use crate::measure::{median, peak_rss_mb, repeat_timed, Metric, Report, SplitRow, Tracer};
+use crate::layers::{span_median, Prog, UnitCosts, CYCLE, REFLECT_TIMERS};
+use crate::measure::{
+    median, peak_rss_mb, repeat_timed, serial_ops, Metric, Report, SplitRow, Tracer,
+};
 use std::time::Instant;
 use steelserve::figures::run_spec;
 use steelserve::spec::Spec;
 use steelworks_core::prelude::{run_reflection, ReflectionConfig};
-use steelworks_xdpsim::prelude::{verify, HostProfile, ReflectVariant, XdpHost};
+use steelworks_xdpsim::prelude::ReflectVariant;
 
 /// The committed spec this workload reproduces at its reference seed.
 pub const COMMITTED: (&str, &str) = ("specs/fig4_loops.json", "results/fig4_loops.txt");
@@ -83,11 +85,16 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, expected: Option<Expected>) 
     report.check = expected.label();
     let text = spec.canonical();
     let setups = repeat_timed(5, 0.3, || setup(&text));
-    let setup_s = median(&setups);
-    let setup_note = format!(
-        "median of {} set-ups: parse + verify and lower 9 programs",
-        setups.len()
-    );
+    let setup = Metric {
+        name: "setup_s",
+        value: median(&setups),
+        unit: "s",
+        note: format!(
+            "median of {} set-ups: parse + verify and lower 9 programs",
+            setups.len()
+        ),
+    };
+    let what = format!("artifacts at jobs {}", cfg.jobs);
 
     if !trace {
         let times = artifact_window(
@@ -98,13 +105,8 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, expected: Option<Expected>) 
             &mut report,
             &mut Tracer::off(),
         );
-        report.metric("setup_s", setup_s, "s", setup_note);
-        report.metric(
-            "run_s",
-            median(&times),
-            "s",
-            format!("median of {} artifacts at jobs {}", times.len(), cfg.jobs),
-        );
+        report.metrics.push(setup);
+        report.metrics.extend(serial_ops(&times, &what));
         report.metric(
             "peak_rss_mb",
             peak_rss_mb(),
@@ -128,32 +130,6 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, expected: Option<Expected>) 
     let traced = artifact_window(&spec, cfg.jobs, half, &expected, &mut report, &mut t);
     let run_s = median(&untraced);
     let run_s_traced = median(&traced);
-
-    // xdpsim: attach cost of each program, verify alone and verify + lower.
-    let progs = Prog::all();
-    let mut host_new: Vec<Vec<f64>> = vec![Vec::new(); progs.len()];
-    let (mut verify_sets, mut new_sets) = (Vec::new(), Vec::new());
-    for _ in 0..10 {
-        let (mut v_sum, mut n_sum) = (0.0, 0.0);
-        for (i, p) in progs.iter().enumerate() {
-            let (prog, maps) = p.build();
-            let (ok, v) = t.timed("xdpsim.verify", i as u64, || verify(&prog, &maps).is_ok());
-            assert!(ok, "{} verifies", p.name());
-            let (prog, maps) = p.build();
-            let (host, n) = t.timed("xdpsim.host_new", i as u64, || {
-                XdpHost::new("bench-host", prog, maps, HostProfile::preempt_rt())
-            });
-            assert!(host.is_ok(), "{} attaches", p.name());
-            host_new[i].push(n);
-            v_sum += v;
-            n_sum += n;
-        }
-        verify_sets.push(v_sum);
-        new_sets.push(n_sum);
-    }
-    let attach: Vec<f64> = host_new.iter().map(|v| median(v)).collect();
-    let verify_s = median(&verify_sets);
-    let lower_s = median(&new_sets) - verify_s;
 
     // core: the 11 scenarios through run_reflection.
     let scens = scenarios();
@@ -191,62 +167,43 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, expected: Option<Expected>) 
     let scen_max = scen_med.iter().copied().fold(0.0, f64::max);
 
     // steelserve: the same artifact at jobs 1, serially.
-    let (jobs1_s, arts) = span_median(&mut t, "steelserve.run_spec_jobs1", 3, || {
+    let (jobs1_s, mut arts) = span_median(&mut t, "steelserve.run_spec_jobs1", 3, || {
         run_spec(&spec, 1)
     });
     for art in &arts {
         report.checked(expected.matches(art));
     }
-
-    // netsim and xdpsim per-frame costs at the workload's frame size. A
-    // reflected frame crosses its link twice and is re-sent from a
-    // timer, so the host's VM cost is its replay minus an echo baseline
-    // with that same event shape.
-    let link = frame_ns(&mut t, "netsim.link_run", Path::Link, cfg.cycles, 5);
-    let tap = frame_ns(&mut t, "netsim.tap_run", Path::Tapped, cfg.cycles, 5) - link;
-    let echo = frame_ns(&mut t, "netsim.echo_run", Path::Echo, cfg.cycles, 5);
-    let switch = frame_ns(
+    let served = [(spec.clone(), arts.pop().expect("three artifacts"))];
+    let u = UnitCosts::measure(
         &mut t,
-        "netsim.switch_run",
-        Path::Switched(25),
-        cfg.cycles,
-        3,
-    ) - echo;
-    let xdp: Vec<f64> = progs
-        .iter()
-        .map(|&p| frame_ns(&mut t, "xdpsim.host_run", Path::Xdp(p), cfg.cycles, 3) - echo)
-        .collect();
-    let mean_of = |looping: bool| {
-        let v: Vec<f64> = progs
-            .iter()
-            .zip(&xdp)
-            .filter(|(p, _)| matches!(p, Prog::Loop(_)) == looping)
-            .map(|(_, x)| *x)
-            .collect();
-        v.iter().sum::<f64>() / v.len() as f64
-    };
-    let queue = queue_op_ns(&mut t, 26, CYCLE.as_nanos(), 200_000, 5);
+        REFLECT_TIMERS,
+        CYCLE.as_nanos(),
+        &served,
+        &[],
+        &crate::out_dir(),
+    );
 
     // The serial split of one artifact.
+    let progs = Prog::all();
     let prog_index = |p: Prog| progs.iter().position(|q| q.name() == p.name()).unwrap_or(0);
     let (mut attach_s, mut echo_s, mut tap_s, mut switch_s, mut exec_s) = (0.0, 0.0, 0.0, 0.0, 0.0);
     for (sc, &n) in scens.iter().zip(&frames) {
         let n = n as f64 * 1e-9;
         let p = prog_index(sc.prog);
-        attach_s += attach[p];
-        echo_s += n * echo;
-        tap_s += n * 2.0 * tap;
-        exec_s += n * xdp[p];
+        attach_s += u.attach_s[p];
+        echo_s += n * u.echo_ns;
+        tap_s += n * 2.0 * u.tap_ns;
+        exec_s += n * u.xdp_ns[p];
         if sc.flows > 1 {
-            switch_s += n * switch;
+            switch_s += n * u.switch_ns;
         }
     }
     let analysis = scen_sum - (attach_s + echo_s + tap_s + switch_s + exec_s);
     let render = jobs1_s - scen_sum;
-    let row = |layer, part: &str, value| SplitRow {
+    let row = |layer, part: &str, secs: f64| SplitRow {
         layer,
         part: part.to_string(),
-        value,
+        value: secs * 1e3,
     };
     let rows = vec![
         row("xdpsim", "attach: verify + lower, 11 scenarios", attach_s),
@@ -270,86 +227,29 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, expected: Option<Expected>) 
         ),
         row(
             "steelpar",
-            "jobs-2 fan-out: run_s minus run_spec at jobs 1",
+            "jobs-2 fan-out: op_p50 minus run_spec at jobs 1",
             run_s - jobs1_s,
         ),
     ];
-    report.split = Some(("run_s (s per artifact)".to_string(), run_s, rows));
-    report.untraced = vec![
-        Metric {
-            name: "setup_s",
-            value: setup_s,
-            unit: "s",
-            note: setup_note,
-        },
-        Metric {
-            name: "run_s",
-            value: run_s,
-            unit: "s",
-            note: format!("median of {} artifacts", untraced.len()),
-        },
-    ];
-    report.traced = vec![Metric {
-        name: "run_s",
-        value: run_s_traced,
-        unit: "s",
-        note: format!("median of {} artifacts", traced.len()),
-    }];
+    report
+        .splits
+        .push(("op_p50_ms (ms per artifact)".to_string(), run_s * 1e3, rows));
+    report.untraced = vec![setup];
+    report.untraced.extend(serial_ops(&untraced, &what));
+    report.traced = serial_ops(&traced, &what);
 
-    let n_frames: u64 = frames.iter().sum();
+    u.report(&mut report);
     report.metric(
-        "xdpsim.verify_s",
-        verify_s,
-        "s",
-        "verify on the 9 programs, median of 10 sets",
+        "trace.overhead_pct",
+        (run_s_traced - run_s) / run_s * 100.0,
+        "%",
+        "traced op_p50_ms vs untraced op_p50_ms",
     );
     report.metric(
-        "xdpsim.lower_s",
-        lower_s,
-        "s",
-        "XdpHost::new minus verify, 9 programs",
-    );
-    report.metric(
-        "xdpsim.frame_ns",
-        mean_of(false),
-        "ns",
-        "source -> XdpHost and back per frame minus netsim.echo_frame_ns, mean of 6 straight-line programs",
-    );
-    report.metric(
-        "xdpsim.loop_frame_ns",
-        mean_of(true),
-        "ns",
-        "the same, mean of the 3 loop programs",
-    );
-    report.metric(
-        "netsim.frame_ns",
-        link,
-        "ns",
-        "PeriodicSource -> CounterSink on one link",
-    );
-    report.metric(
-        "netsim.echo_frame_ns",
-        echo,
-        "ns",
-        "PeriodicSource -> EchoDevice (5 us turnaround, re-sent from a timer) and back",
-    );
-    report.metric(
-        "netsim.tap_frame_ns",
-        tap,
-        "ns",
-        "the same with the Fig. 3 tap, minus netsim.frame_ns",
-    );
-    report.metric(
-        "netsim.switch_frame_ns",
-        switch,
-        "ns",
-        "25 sources through a LearningSwitch to an EchoDevice and back, minus netsim.echo_frame_ns",
-    );
-    report.metric(
-        "netsim.queue_op_ns",
-        queue,
-        "ns",
-        "EventQueue pop+push, 26 periodic timers re-armed every 1 ms",
+        "split.residual_pct",
+        analysis / run_s * 100.0,
+        "%",
+        "core.analysis_s as a share of op_p50_ms",
     );
     report.metric(
         "core.scenario_sum_s",
@@ -368,7 +268,7 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, expected: Option<Expected>) 
         "steelpar.efficiency",
         scen_sum / (cfg.jobs as f64 * run_s),
         "ratio",
-        format!("core.scenario_sum_s / (jobs {} x run_s)", cfg.jobs),
+        format!("core.scenario_sum_s / (jobs {} x op_p50)", cfg.jobs),
     );
     report.metric(
         "steelserve.render_s",
@@ -376,6 +276,7 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, expected: Option<Expected>) 
         "s",
         "run_spec at jobs 1 minus core.scenario_sum_s",
     );
+    let n_frames: u64 = frames.iter().sum();
     report.count(
         "xdpsim.frames",
         n_frames,
@@ -387,18 +288,6 @@ pub fn run(cfg: &Config, seconds: f64, trace: bool, expected: Option<Expected>) 
         "netsim.tap_records",
         taps,
         "tap records over the 11 scenarios",
-    );
-    report.metric(
-        "trace.overhead_pct",
-        (run_s_traced - run_s) / run_s * 100.0,
-        "%",
-        "traced run_s vs untraced run_s",
-    );
-    report.metric(
-        "split.residual_pct",
-        analysis / jobs1_s * 100.0,
-        "%",
-        "core.analysis_s as a share of run_spec at jobs 1",
     );
     report.spans = Some(t);
     report
