@@ -80,9 +80,10 @@ fn bench_transmit_deliver(h: &mut Harness) {
 
 fn bench_event_queue(h: &mut Harness) {
     // Steady-state push/pop against a shallow, a deep, and a
-    // campus-deep backlog. The calendar queue's O(1) claim is only
-    // honest if the 1M row stays in the same decade as the 1k row
-    // instead of growing with log(pending) like the old binary heap.
+    // campus-deep backlog. Each push lands behind every pending event,
+    // an in-order FIFO that no figure produces: the binary heap pays
+    // O(log pending) here, so these rows grow with the backlog. The
+    // rows that track real traffic are the e2e ones below.
     for &pending in &[1_000usize, 100_000, 1_000_000] {
         let mut q = EventQueue::new();
         q.reserve(pending + 1);
@@ -268,9 +269,9 @@ fn bench_exec_lowered_vs_interp(h: &mut Harness) {
 
 fn bench_campus_e2e(h: &mut Harness) {
     // A reduced campus (4 cells × 4 leaves × 64 endpoints ≈ 4k nodes)
-    // through the full build/run/audit path: the arena node table, the
-    // calendar queue under six-figure backlogs, and the payload pool
-    // all on their intended workload shape.
+    // through the full build/run/audit path: the arena node table and
+    // the event queue under thousands of periodic timers, on their
+    // intended workload shape.
     h.bench("perf/e2e/fig_campus_4k_nodes", || {
         let cfg = CampusConfig {
             cells: 4,

@@ -6,6 +6,10 @@
 //! offline-buildable workspace only needs this small subset: an
 //! `Arc<[u8]>` with slice ergonomics. Construction from a `Vec<u8>` or
 //! slice copies once; every subsequent clone is a pointer bump.
+//!
+//! Traffic sources allocate each payload with `Bytes::from(vec![..])`,
+//! with no recycling pool in front: on every benchmark workload a pool
+//! bought nothing beyond run-to-run noise (DESIGN.md §9).
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -121,113 +125,6 @@ impl PartialEq<Bytes> for Vec<u8> {
     }
 }
 
-/// Most buffers a [`BytesPool`] parks per payload length before new
-/// requests fall back to plain allocation.
-const MAX_POOLED_PER_LEN: usize = 1024;
-
-/// Slots probed per request before giving up and allocating fresh.
-/// When a long-lived observer (a tap, a capture) pins every parked
-/// buffer, an unbounded probe would rescan the whole class on every
-/// take — O(class size) atomic loads per frame. Eight probes cover the
-/// recycling steady state (a handful of buffers in flight) while
-/// keeping the pinned-pool worst case a small constant.
-const PROBE_LIMIT: usize = 8;
-
-/// Free-list recycler for frame payload buffers.
-///
-/// Every frame a traffic source emits used to allocate a fresh
-/// `Vec<u8>` plus an `Arc` header; at campus scale that is millions of
-/// allocator round-trips inside the measured event loop. The pool
-/// instead parks one clone of each buffer it hands out and recycles a
-/// buffer once its `Arc` strong count drops back to 1 — i.e. every
-/// frame, tap capture and pending event that referenced it has been
-/// dropped. Shared buffers are never written: a recycled slot is
-/// reinitialized only while the pool holds the sole reference, so the
-/// copy-on-write contract of [`Bytes`] is preserved by construction.
-///
-/// Buffers are grouped by exact payload length (scenarios use a handful
-/// of distinct frame sizes) in a `BTreeMap`, keeping iteration order —
-/// and therefore simulation behavior — deterministic. Each length class
-/// probes round-robin from a cursor and grows up to
-/// [`MAX_POOLED_PER_LEN`] slots; beyond that, requests degrade to plain
-/// one-off allocations rather than growing without bound.
-#[derive(Debug, Default)]
-pub struct BytesPool {
-    classes: std::collections::BTreeMap<usize, PoolClass>,
-    hits: u64,
-    misses: u64,
-}
-
-#[derive(Debug, Default)]
-struct PoolClass {
-    bufs: Vec<Arc<[u8]>>,
-    cursor: usize,
-}
-
-impl BytesPool {
-    /// An empty pool; classes appear on first use.
-    pub fn new() -> BytesPool {
-        BytesPool::default()
-    }
-
-    /// A buffer of exactly `len` bytes, contents written by `init`.
-    ///
-    /// `init` always receives the full `len`-byte slice and must
-    /// initialize all of it — recycled buffers carry whatever the
-    /// previous user wrote.
-    pub fn take_with(&mut self, len: usize, init: impl FnOnce(&mut [u8])) -> Bytes {
-        if len == 0 {
-            return Bytes::new();
-        }
-        let class = self.classes.entry(len).or_default();
-        // Round-robin probe for a slot nobody references but us.
-        let n = class.bufs.len();
-        for step in 0..n.min(PROBE_LIMIT) {
-            let i = (class.cursor + step) % n;
-            if Arc::strong_count(&class.bufs[i]) == 1 {
-                // steelcheck: allow(unwrap-in-lib): strong_count == 1 above proves unique ownership
-                let slot = Arc::get_mut(&mut class.bufs[i]).expect("sole pool reference");
-                init(slot);
-                class.cursor = (i + 1) % n;
-                self.hits += 1;
-                return Bytes(Arc::clone(&class.bufs[i]));
-            }
-        }
-        self.misses += 1;
-        let mut fresh = vec![0u8; len];
-        init(&mut fresh);
-        let arc: Arc<[u8]> = Arc::from(fresh);
-        if class.bufs.len() < MAX_POOLED_PER_LEN {
-            class.bufs.push(Arc::clone(&arc));
-        }
-        // Advance past the probed window so consecutive misses do not
-        // re-test the same pinned slots.
-        class.cursor = if n == 0 { 0 } else { (class.cursor + PROBE_LIMIT) % n };
-        Bytes(arc)
-    }
-
-    /// A zero-filled buffer of exactly `len` bytes — the common case
-    /// for synthetic traffic payloads.
-    pub fn take_zeroed(&mut self, len: usize) -> Bytes {
-        self.take_with(len, |b| b.fill(0))
-    }
-
-    /// Buffers recycled from the free list.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Requests that had to allocate (cold start or all slots busy).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Total buffers currently parked across all length classes.
-    pub fn pooled(&self) -> usize {
-        self.classes.values().map(|c| c.bufs.len()).sum()
-    }
-}
-
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
@@ -295,75 +192,5 @@ mod tests {
     fn debug_is_readable() {
         let b = Bytes::from(&b"ok\x01"[..]);
         assert_eq!(format!("{b:?}"), "b\"ok\\x01\"");
-    }
-
-    #[test]
-    fn pool_recycles_dropped_buffers() {
-        let mut pool = BytesPool::new();
-        let a = pool.take_zeroed(46);
-        assert_eq!(a.len(), 46);
-        assert_eq!(pool.misses(), 1);
-        assert_eq!(pool.hits(), 0);
-        // `a` still alive: the parked clone is shared, so a second take
-        // of the same length must allocate.
-        let b = pool.take_zeroed(46);
-        assert_eq!(pool.misses(), 2);
-        drop(a);
-        drop(b);
-        // Both buffers returned; the next take recycles.
-        let c = pool.take_zeroed(46);
-        assert_eq!(pool.hits(), 1);
-        assert_eq!(pool.pooled(), 2);
-        assert!(c.iter().all(|&x| x == 0));
-    }
-
-    #[test]
-    fn pool_take_with_initializes_full_slice() {
-        let mut pool = BytesPool::new();
-        let a = pool.take_with(4, |b| b.copy_from_slice(&[1, 2, 3, 4]));
-        assert_eq!(a, &[1u8, 2, 3, 4][..]);
-        drop(a);
-        // Recycled slot is dirty until init runs; take_with must hand
-        // the caller a fully reinitialized view.
-        let b = pool.take_with(4, |b| b.copy_from_slice(&[9, 9, 9, 9]));
-        assert_eq!(b, &[9u8, 9, 9, 9][..]);
-        assert_eq!(pool.hits(), 1);
-    }
-
-    #[test]
-    fn pool_never_mutates_shared_buffers() {
-        let mut pool = BytesPool::new();
-        let a = pool.take_zeroed(8);
-        let snapshot = a.clone();
-        // Exhaust and refill: none of this may touch `a`'s contents.
-        for _ in 0..16 {
-            let _ = pool.take_with(8, |b| b.fill(0xEE));
-        }
-        assert_eq!(a, snapshot);
-        assert!(a.iter().all(|&x| x == 0));
-    }
-
-    #[test]
-    fn pool_zero_len_is_free() {
-        let mut pool = BytesPool::new();
-        let a = pool.take_zeroed(0);
-        assert!(a.is_empty());
-        assert_eq!(pool.pooled(), 0);
-        assert_eq!(pool.misses(), 0);
-    }
-
-    #[test]
-    fn pool_classes_are_per_length() {
-        let mut pool = BytesPool::new();
-        let a = pool.take_zeroed(46);
-        let b = pool.take_zeroed(1500);
-        assert_eq!(a.len(), 46);
-        assert_eq!(b.len(), 1500);
-        drop(a);
-        // Freeing the 46B buffer must not satisfy a 1500B request.
-        let _ = pool.take_zeroed(1500);
-        assert_eq!(pool.misses(), 3);
-        let _ = pool.take_zeroed(46);
-        assert_eq!(pool.hits(), 1);
     }
 }

@@ -2,6 +2,7 @@
 //! counting sinks. Higher crates build protocol-specific devices; these
 //! cover tests, calibration and background-load generation.
 
+use crate::bytes::Bytes;
 use crate::frame::{ethertype, EthFrame, MacAddr, VlanTag};
 use crate::node::{Ctx, Device, PortId};
 use crate::stats::BinnedSeries;
@@ -132,7 +133,7 @@ impl Device for PeriodicSource {
             self.dst,
             self.src,
             self.ethertype,
-            ctx.payload_zeroed(self.payload_len),
+            Bytes::from(vec![0u8; self.payload_len]),
         );
         if let Some(tag) = self.vlan {
             f = f.with_vlan(tag);
@@ -223,7 +224,7 @@ impl Device for PoissonSource {
             }
         }
         self.sent += 1;
-        let payload = ctx.payload_zeroed(self.payload_len);
+        let payload = Bytes::from(vec![0u8; self.payload_len]);
         ctx.send(
             self.port,
             EthFrame::new(self.dst, self.src, ethertype::SIM_TEST, payload),

@@ -4,37 +4,12 @@
 //! for the same instant fire in the order they were scheduled. This makes
 //! every simulation a deterministic function of its inputs and seed.
 //!
-//! ## Implementation: a calendar queue with a sorted overflow tier
-//!
-//! A `BinaryHeap` served the first few thousand events fine, but its
-//! `O(log n)` sift cost degrades ~7× between 1 k and 100 k pending
-//! events — fatal for a factory campus with millions of frames in
-//! flight. The queue is therefore a **calendar queue** (Brown 1988):
-//!
-//! - A power-of-two array of buckets, each `2^width_shift` ns wide,
-//!   covering one sliding "year" `[cur_floor, cur_floor + year_len)`.
-//!   An event at time `t` inside the year lands in bucket
-//!   `(t >> width_shift) & mask` — **O(1) insert**.
-//! - Events beyond the year go to a sorted **overflow tier** (a binary
-//!   heap); as the cursor slides forward, events whose window entered
-//!   the year are merged back into buckets. Each event overflows at
-//!   most once, so the amortized cost stays O(1).
-//! - Pop scans forward from the cursor bucket; the first non-empty
-//!   bucket holds the global minimum (buckets ahead cover strictly
-//!   later windows, the overflow tier strictly later still). Within a
-//!   bucket the minimum is chosen by `(time, seq)` **value** order, so
-//!   the pop sequence is bit-identical to the old heap regardless of
-//!   bucket geometry. A memo caches the scan between `peek_time` and
-//!   the `pop` that follows it.
-//! - The queue reshapes itself (bucket count from the pending
-//!   population, bucket width from the median inter-event gap of a
-//!   deterministic sample) when occupancy leaves the `[n/8, 2n]`
-//!   band — the classic doubling/halving schedule, so reshape cost is
-//!   amortized O(1) per operation.
-//!
-//! Every decision above is a pure function of the push/pop sequence:
-//! no capacity heuristics depend on addresses, wall time or hashing,
-//! so the queue upholds the workspace determinism contract.
+//! The queue is a `std::collections::BinaryHeap` under the reversed
+//! `(time, seq)` order on [`Event`]: O(log n) per push or pop, with
+//! nothing to tune. `seq` is unique, so no two events compare equal and
+//! the pop order is fixed by the push sequence alone. Keep it that way:
+//! a calendar queue tuned on in-order FIFO traffic was 4× slower than
+//! this heap on `fig_campus`'s 50k periodic timers (DESIGN.md §9).
 
 use crate::frame::EthFrame;
 use crate::node::{NodeId, PortId};
@@ -52,8 +27,8 @@ pub enum EventKind {
         /// Receiving port on that node.
         port: PortId,
         /// The frame (possibly corrupted in flight), boxed so the
-        /// event stays small: bucket and heap operations move 16-byte
-        /// entries instead of a full inline frame.
+        /// event stays small: heap sifts move a pointer instead of a
+        /// full inline frame.
         frame: Box<EthFrame>,
     },
     /// A device timer expires. `token` is device-defined.
@@ -96,85 +71,13 @@ impl Ord for Event {
     }
 }
 
-/// Fewest buckets the calendar ever holds.
-const MIN_BUCKETS: usize = 16;
-/// Default bucket width (2^6 = 64 ns) before any population estimate.
-const DEFAULT_WIDTH_SHIFT: u32 = 6;
-/// Sample size for the median-gap bucket-width estimate at reshape.
-const WIDTH_SAMPLE: usize = 64;
-/// Null slab index terminating a bucket's intrusive list.
-const NIL: u32 = u32::MAX;
-
-/// Deterministic priority queue of pending events.
-///
-/// Calendar tier + sorted overflow tier; see the module docs for the
-/// structure. Total order is exactly `(time, seq)` — identical to the
-/// former `BinaryHeap` implementation, which the determinism tests
-/// below assert against a reference heap.
-///
-/// Storage is an intrusive slab: events live in one flat `slab`
-/// vector, each bucket is a singly-linked list threaded through the
-/// parallel `next` array, and `heads` holds one `u32` per bucket. This
-/// keeps the empty-bucket cursor walk a sequential scan over a dense
-/// `u32` array (16 buckets per cache line) and makes push touch one
-/// random cache line instead of a bucket header plus a spilled
-/// per-bucket allocation.
-#[derive(Debug)]
+/// Deterministic priority queue of pending events, earliest
+/// `(time, seq)` first.
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    /// Flat event storage; freed slots are recycled via `free`.
-    slab: Vec<Event>,
-    /// `next[i]` chains slab slot `i` into its bucket's list.
-    next: Vec<u32>,
-    /// Recycled slab slots, reused most-recently-freed first.
-    free: Vec<u32>,
-    /// Per-bucket list head (slab index or `NIL`); length is a power
-    /// of two.
-    heads: Vec<u32>,
-    /// `heads.len() - 1`, for masked index arithmetic.
-    mask: usize,
-    /// Bucket width is `1 << width_shift` nanoseconds.
-    width_shift: u32,
-    /// `heads.len() << width_shift` — the span of one year.
-    year_len: u64,
-    /// Cursor bucket index; the next pop scans from here.
-    cur: usize,
-    /// Start of the cursor bucket's time window.
-    cur_floor: u64,
-    /// Exclusive upper bound of the calendar's sliding year; events at
-    /// or beyond it live in `overflow`.
-    year_end: u64,
-    /// Events currently in calendar buckets.
-    cal_len: usize,
-    /// Far-future tier: min-first by the reversed `Ord` on `Event`.
-    overflow: BinaryHeap<Event>,
-    /// Total pending events (calendar + overflow).
-    len: usize,
+    heap: BinaryHeap<Event>,
     /// Next schedule-order tie-break.
     next_seq: u64,
-    /// Memoized minimum `(bucket, slab index)` from the last scan;
-    /// cleared by pop/reshape, tightened by pushes that beat it.
-    memo: Option<(usize, u32)>,
-    /// Capacity hint from [`EventQueue::reserve`], consumed by the
-    /// next reshape so topology-sized scenarios size the calendar once.
-    hint: usize,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::with_geometry(MIN_BUCKETS, DEFAULT_WIDTH_SHIFT)
-    }
-}
-
-/// Placeholder written into a slab slot as its event is moved out.
-fn tombstone() -> Event {
-    Event {
-        at: Nanos(0),
-        seq: 0,
-        kind: EventKind::Timer {
-            node: NodeId(0),
-            token: 0,
-        },
-    }
 }
 
 impl EventQueue {
@@ -183,293 +86,38 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    fn with_geometry(nbuckets: usize, width_shift: u32) -> Self {
-        let nbuckets = nbuckets.next_power_of_two().max(MIN_BUCKETS);
-        // Keep the year length representable: cap the shift so that
-        // nbuckets << shift cannot overflow u64.
-        let width_shift = width_shift.min(62 - nbuckets.trailing_zeros());
-        EventQueue {
-            slab: Vec::new(),
-            next: Vec::new(),
-            free: Vec::new(),
-            heads: vec![NIL; nbuckets],
-            mask: nbuckets - 1,
-            width_shift,
-            year_len: (nbuckets as u64) << width_shift,
-            cur: 0,
-            cur_floor: 0,
-            year_end: (nbuckets as u64) << width_shift,
-            cal_len: 0,
-            overflow: BinaryHeap::new(),
-            len: 0,
-            next_seq: 0,
-            memo: None,
-            hint: 0,
-        }
-    }
-
-    /// Bucket index an in-year time maps to.
-    #[inline]
-    fn index_of(&self, at: u64) -> usize {
-        ((at >> self.width_shift) as usize) & self.mask
-    }
-
-    /// Anchor the cursor and year window at time `at`.
-    fn anchor(&mut self, at: u64) {
-        self.cur_floor = (at >> self.width_shift) << self.width_shift;
-        self.cur = self.index_of(at);
-        self.year_end = self.cur_floor.saturating_add(self.year_len);
-    }
-
     /// Schedule `kind` at absolute time `at`.
     pub fn push(&mut self, at: Nanos, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ev = Event { at, seq, kind };
-        if self.len == 0 {
-            self.anchor(at.0);
-        }
-        self.place(ev);
-        self.len += 1;
-        if self.len > 2 * self.heads.len() {
-            self.reshape();
-        }
-    }
-
-    /// Store one event in the slab and return its slot.
-    fn alloc_slot(&mut self, ev: Event) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.slab[i as usize] = ev;
-                i
-            }
-            None => {
-                debug_assert!(self.slab.len() < NIL as usize, "slab index overflow");
-                self.slab.push(ev);
-                self.next.push(NIL);
-                (self.slab.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Put one event into its tier. Updates `cal_len` and the memo but
-    /// not `len` (shared by `push` and the overflow merge).
-    fn place(&mut self, ev: Event) {
-        let t = ev.at.0;
-        if t >= self.year_end {
-            self.overflow.push(ev);
-            return;
-        }
-        // Times at or before the cursor's window (the engine never
-        // schedules into the past, but the structure must stay correct
-        // if a caller does) collapse into the cursor bucket, where the
-        // value-ordered scan still pops them first.
-        let b = if t < self.cur_floor {
-            self.cur
-        } else {
-            self.index_of(t)
-        };
-        let idx = self.alloc_slot(ev);
-        self.next[idx as usize] = self.heads[b];
-        self.heads[b] = idx;
-        // A push that beats the memoized minimum becomes the memo; on
-        // an equal time the memo wins (its seq is older). List inserts
-        // go at the head, so a memoized slab index stays valid.
-        if let Some((_, mi)) = self.memo {
-            if t < self.slab[mi as usize].at.0 {
-                self.memo = Some((b, idx));
-            }
-        }
-        self.cal_len += 1;
-    }
-
-    /// Pull overflow events whose window slid into the year.
-    fn merge_overflow(&mut self) {
-        while let Some(head) = self.overflow.peek() {
-            if head.at.0 >= self.year_end {
-                break;
-            }
-            // steelcheck: allow(unwrap-in-lib): peek above proved the heap is non-empty
-            let ev = self.overflow.pop().expect("peeked overflow entry");
-            let b = self.index_of(ev.at.0);
-            let idx = self.alloc_slot(ev);
-            self.next[idx as usize] = self.heads[b];
-            self.heads[b] = idx;
-            self.cal_len += 1;
-        }
-    }
-
-    /// Advance the cursor / merge tiers until the memo points at the
-    /// global minimum. No-op when memoized or empty.
-    fn ensure_memo(&mut self) {
-        if self.memo.is_some() || self.len == 0 {
-            return;
-        }
-        loop {
-            if self.cal_len == 0 {
-                // Calendar dry: jump the year straight to the earliest
-                // far-future event instead of walking empty buckets.
-                // steelcheck: allow(unwrap-in-lib): len > 0 and cal_len == 0 imply overflow is non-empty
-                let t = self.overflow.peek().expect("overflow holds the backlog").at.0;
-                self.anchor(t);
-                self.merge_overflow();
-            }
-            if self.heads[self.cur] != NIL {
-                let mut best = self.heads[self.cur];
-                let mut best_key = {
-                    let e = &self.slab[best as usize];
-                    (e.at, e.seq)
-                };
-                let mut i = self.next[best as usize];
-                while i != NIL {
-                    let e = &self.slab[i as usize];
-                    if (e.at, e.seq) < best_key {
-                        best = i;
-                        best_key = (e.at, e.seq);
-                    }
-                    i = self.next[i as usize];
-                }
-                self.memo = Some((self.cur, best));
-                return;
-            }
-            self.cur = (self.cur + 1) & self.mask;
-            self.cur_floor = self.cur_floor.saturating_add(1 << self.width_shift);
-            self.year_end = self.year_end.saturating_add(1 << self.width_shift);
-            self.merge_overflow();
-        }
+        self.heap.push(Event { at, seq, kind });
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        self.ensure_memo();
-        let (b, idx) = self.memo.take()?;
-        // Unlink `idx` from its bucket list (typically at or near the
-        // head: calendar occupancy hovers around one event per bucket).
-        if self.heads[b] == idx {
-            self.heads[b] = self.next[idx as usize];
-        } else {
-            let mut prev = self.heads[b];
-            while self.next[prev as usize] != idx {
-                prev = self.next[prev as usize];
-            }
-            self.next[prev as usize] = self.next[idx as usize];
-        }
-        let ev = std::mem::replace(&mut self.slab[idx as usize], tombstone());
-        self.free.push(idx);
-        self.cal_len -= 1;
-        self.len -= 1;
-        if self.heads.len() > MIN_BUCKETS && self.len < self.heads.len() / 8 {
-            self.reshape();
-        }
-        Some(ev)
+        self.heap.pop()
     }
 
     /// Time of the earliest pending event.
-    ///
-    /// Takes `&mut self` because the calendar memoizes the scan for the
-    /// `pop` that typically follows; the visible state is unchanged.
-    pub fn peek_time(&mut self) -> Option<Nanos> {
-        self.ensure_memo();
-        self.memo.map(|(_, i)| self.slab[i as usize].at)
+    pub fn peek_time(&self) -> Option<Nanos> {
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
-    /// Size the calendar for at least `additional` more events.
-    ///
-    /// Recorded as a hint and applied at the next reshape, where bucket
-    /// width is estimated from live events — callers with topology
-    /// knowledge size the calendar once instead of paying doubling
-    /// redistributions on the hot path.
+    /// Make room for at least `additional` more events, so callers that
+    /// know the topology size allocate once instead of on the hot path.
     pub fn reserve(&mut self, additional: usize) {
-        self.hint = self.hint.max(self.len + additional);
-        self.slab.reserve(additional);
-        self.next.reserve(additional);
+        self.heap.reserve(additional);
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
-
-    /// Rebuild the bucket array for the current population: bucket
-    /// count from `max(len, hint)`, bucket width from the median gap of
-    /// a deterministic sample, cursor re-anchored at the pending
-    /// minimum. Slab slots never move; only list links are rebuilt, and
-    /// events migrate between the calendar and overflow tiers as the
-    /// new year boundary dictates.
-    fn reshape(&mut self) {
-        // Occupied slots, gathered by walking every bucket list.
-        let mut occupied: Vec<u32> = Vec::with_capacity(self.cal_len);
-        for b in 0..self.heads.len() {
-            let mut i = self.heads[b];
-            while i != NIL {
-                occupied.push(i);
-                i = self.next[i as usize];
-            }
-        }
-        let target = self.len.max(self.hint).max(MIN_BUCKETS);
-        self.hint = 0;
-        let nbuckets = target.next_power_of_two();
-        let times: Vec<u64> = occupied
-            .iter()
-            .map(|&i| self.slab[i as usize].at.0)
-            .chain(self.overflow.iter().map(|e| e.at.0))
-            .collect();
-        let width_shift =
-            estimate_width_shift(&times).min(62 - nbuckets.trailing_zeros() as u32);
-        self.heads = vec![NIL; nbuckets];
-        self.mask = nbuckets - 1;
-        self.width_shift = width_shift;
-        self.year_len = (nbuckets as u64) << width_shift;
-        self.memo = None;
-        let min_t = times.iter().copied().min().unwrap_or(0);
-        self.anchor(min_t);
-        // Relink calendar events under the new geometry; those beyond
-        // the new year boundary migrate to the overflow tier.
-        for idx in occupied {
-            let t = self.slab[idx as usize].at.0;
-            if t >= self.year_end {
-                let ev = std::mem::replace(&mut self.slab[idx as usize], tombstone());
-                self.free.push(idx);
-                self.overflow.push(ev);
-                self.cal_len -= 1;
-            } else {
-                let b = self.index_of(t);
-                self.next[idx as usize] = self.heads[b];
-                self.heads[b] = idx;
-            }
-        }
-        // And pull back overflow events the new year now covers.
-        self.merge_overflow();
-    }
-}
-
-/// Width estimate for reshape: the median inter-event gap over a
-/// deterministic sample, floored to a power of two. A bucket about one
-/// typical gap wide keeps occupancy near one event per bucket, which is
-/// where calendar queues are O(1).
-fn estimate_width_shift(times: &[u64]) -> u32 {
-    if times.len() < 2 {
-        return DEFAULT_WIDTH_SHIFT;
-    }
-    let step = (times.len() / WIDTH_SAMPLE).max(1);
-    let mut sample: Vec<u64> = times.iter().copied().step_by(step).take(WIDTH_SAMPLE).collect();
-    sample.sort_unstable();
-    let mut gaps: Vec<u64> = sample
-        .windows(2)
-        .map(|w| w[1] - w[0])
-        .filter(|&g| g > 0)
-        .collect();
-    if gaps.is_empty() {
-        // All sampled times tie: width cannot separate them anyway.
-        return 0;
-    }
-    gaps.sort_unstable();
-    gaps[gaps.len() / 2].ilog2()
 }
 
 #[cfg(test)]
@@ -527,10 +175,10 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(Nanos(50), timer(0, 0));
         assert_eq!(q.peek_time(), Some(Nanos(50)));
-        // A later push with an earlier time must displace the memo.
+        // A later push with an earlier time becomes the new minimum.
         q.push(Nanos(40), timer(0, 1));
         assert_eq!(q.peek_time(), Some(Nanos(40)));
-        // An equal-time push must NOT displace it (older seq wins).
+        // An equal-time push does not overtake it (older seq wins).
         q.push(Nanos(40), timer(0, 2));
         assert_eq!(token_of(q.pop().expect("pending")), 1);
         assert_eq!(token_of(q.pop().expect("pending")), 2);
@@ -538,10 +186,8 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_round_trip_the_overflow_tier() {
+    fn far_future_events_pop_after_near_ones() {
         let mut q = EventQueue::new();
-        // Near events fill the first year; the spike lands far beyond
-        // any initial year window and must come back in order.
         q.push(Nanos(5), timer(0, 0));
         q.push(Nanos(1 << 40), timer(0, 1));
         q.push(Nanos(6), timer(0, 2));
@@ -552,8 +198,8 @@ mod tests {
 
     #[test]
     fn drain_refill_cycles_keep_order() {
-        // Shrink reshapes and empty-queue re-anchoring must not lose
-        // or reorder anything across repeated drain/refill cycles.
+        // Draining to empty and refilling at a later base time must not
+        // lose or reorder anything.
         let mut q = EventQueue::new();
         for round in 0..5u64 {
             let base = round * 1_000_000;
@@ -574,69 +220,70 @@ mod tests {
         }
     }
 
-    /// The original `BinaryHeap` queue, kept verbatim as the ordering
-    /// oracle for the calendar implementation.
+    /// Ordering oracle that shares no code with the heap: pending
+    /// `(at, token)` pairs in push order, stable-sorted by time alone
+    /// before each pop, so equal times leave in push order by
+    /// construction rather than by comparing `seq`.
     #[derive(Default)]
-    struct ReferenceQueue {
-        heap: BinaryHeap<Event>,
-        next_seq: u64,
+    struct SortedVecQueue {
+        pending: Vec<(Nanos, u64)>,
     }
 
-    impl ReferenceQueue {
-        fn push(&mut self, at: Nanos, kind: EventKind) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Event { at, seq, kind });
+    impl SortedVecQueue {
+        fn push(&mut self, at: Nanos, token: u64) {
+            self.pending.push((at, token));
         }
-        fn pop(&mut self) -> Option<Event> {
-            self.heap.pop()
+        fn pop(&mut self) -> Option<(Nanos, u64)> {
+            if self.pending.is_empty() {
+                return None;
+            }
+            self.pending.sort_by_key(|&(at, _)| at);
+            Some(self.pending.remove(0))
         }
     }
 
-    /// Drive the calendar queue and the reference heap through the same
-    /// seeded workload and assert bit-identical pop sequences.
-    fn assert_matches_reference(seed: u64, ops: usize, time_spread: u64, far_prob: f64) {
+    /// Drive the queue and the sorted-`Vec` oracle through the same
+    /// seeded workload and assert identical pop sequences.
+    fn assert_matches_oracle(seed: u64, ops: usize, time_spread: u64, far_prob: f64) {
         let mut rng = SimRng::seed_from_u64(seed);
-        let mut cal = EventQueue::new();
-        let mut reference = ReferenceQueue::default();
+        let mut queue = EventQueue::new();
+        let mut oracle = SortedVecQueue::default();
         let mut now = 0u64;
         let mut token = 0u64;
         for op in 0..ops {
             // Mixed workload: mostly pushes early, then drain pressure.
-            let push = cal.is_empty() || rng.below(100) < if op < ops / 2 { 70 } else { 35 };
+            let push = queue.is_empty() || rng.below(100) < if op < ops / 2 { 70 } else { 35 };
             if push {
                 let mut at = now + rng.below(time_spread);
                 if far_prob > 0.0 && rng.below(1000) < (far_prob * 1000.0) as u64 {
-                    // Far-future spike: exercises the overflow tier.
+                    // Far-future spike, orders of magnitude past the rest.
                     at = now + time_spread * 1000 + rng.below(time_spread);
                 }
                 if rng.below(10) == 0 {
                     at = now; // deliberate same-time tie burst
                 }
-                cal.push(Nanos(at), timer(0, token));
-                reference.push(Nanos(at), timer(0, token));
+                queue.push(Nanos(at), timer(0, token));
+                oracle.push(Nanos(at), token);
                 token += 1;
             } else {
-                let a = cal.pop();
-                let b = reference.pop();
-                match (a, b) {
+                match (queue.pop(), oracle.pop()) {
                     (Some(x), Some(y)) => {
-                        assert_eq!((x.at, x.seq), (y.at, y.seq), "divergence at op {op}");
                         now = now.max(x.at.0);
+                        assert_eq!((x.at, token_of(x)), y, "divergence at op {op}");
                     }
                     (None, None) => {}
                     (x, y) => panic!(
-                        "length divergence at op {op}: cal={:?} ref={:?}",
+                        "length divergence at op {op}: queue={:?} oracle={:?}",
                         x.map(|e| e.at),
-                        y.map(|e| e.at)
+                        y
                     ),
                 }
             }
         }
         // Full drain must agree too.
         loop {
-            match (cal.pop(), reference.pop()) {
-                (Some(x), Some(y)) => assert_eq!((x.at, x.seq), (y.at, y.seq)),
+            match (queue.pop(), oracle.pop()) {
+                (Some(x), Some(y)) => assert_eq!((x.at, token_of(x)), y),
                 (None, None) => break,
                 _ => panic!("drain length divergence"),
             }
@@ -644,24 +291,24 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_heap_dense_times() {
-        assert_matches_reference(0xC0FFEE, 20_000, 64, 0.0);
+    fn matches_sorted_oracle_dense_times() {
+        assert_matches_oracle(0xC0FFEE, 20_000, 64, 0.0);
     }
 
     #[test]
-    fn matches_reference_heap_sparse_times() {
-        assert_matches_reference(0xBEEF, 20_000, 1_000_000, 0.0);
+    fn matches_sorted_oracle_sparse_times() {
+        assert_matches_oracle(0xBEEF, 20_000, 1_000_000, 0.0);
     }
 
     #[test]
-    fn matches_reference_heap_with_ties_and_far_future() {
-        assert_matches_reference(0x5EED, 20_000, 10_000, 0.02);
+    fn matches_sorted_oracle_with_ties_and_far_future() {
+        assert_matches_oracle(0x5EED, 20_000, 10_000, 0.02);
     }
 
     #[test]
-    fn matches_reference_heap_across_seeds() {
+    fn matches_sorted_oracle_across_seeds() {
         for seed in 1..=8u64 {
-            assert_matches_reference(seed, 4_000, 1 << (seed % 20), 0.01);
+            assert_matches_oracle(seed, 4_000, 1 << (seed % 20), 0.01);
         }
     }
 }

@@ -7,7 +7,6 @@
 //! each callback, which keeps borrow-checking trivial and device logic
 //! deterministic and testable in isolation.
 
-use crate::bytes::{Bytes, BytesPool};
 use crate::frame::EthFrame;
 use crate::rng::SimRng;
 use crate::time::{NanoDur, Nanos};
@@ -49,7 +48,6 @@ pub struct Ctx<'a> {
     rng: &'a mut SimRng,
     port_rates: &'a [Option<u64>],
     actions: &'a mut Vec<Action>,
-    pool: &'a mut BytesPool,
 }
 
 impl<'a> Ctx<'a> {
@@ -59,7 +57,6 @@ impl<'a> Ctx<'a> {
         rng: &'a mut SimRng,
         port_rates: &'a [Option<u64>],
         actions: &'a mut Vec<Action>,
-        pool: &'a mut BytesPool,
     ) -> Self {
         Ctx {
             now,
@@ -67,7 +64,6 @@ impl<'a> Ctx<'a> {
             rng,
             port_rates,
             actions,
-            pool,
         }
     }
 
@@ -97,21 +93,6 @@ impl<'a> Ctx<'a> {
     /// Number of ports wired on this node so far.
     pub fn port_count(&self) -> usize {
         self.port_rates.len()
-    }
-
-    /// A zero-filled payload buffer from the engine's free-list pool.
-    ///
-    /// The hot path for synthetic traffic: recycles a parked buffer
-    /// when every previous user has dropped theirs, so steady-state
-    /// sources stop hitting the allocator per frame.
-    pub fn payload_zeroed(&mut self, len: usize) -> Bytes {
-        self.pool.take_zeroed(len)
-    }
-
-    /// A pooled payload buffer with contents written by `init`, which
-    /// always receives the full `len`-byte slice.
-    pub fn payload_with(&mut self, len: usize, init: impl FnOnce(&mut [u8])) -> Bytes {
-        self.pool.take_with(len, init)
     }
 
     /// Queue a frame for transmission out of `port`. Serialization and
@@ -213,16 +194,8 @@ mod tests {
     fn ctx_buffers_actions() {
         let mut rng = SimRng::seed_from_u64(1);
         let mut actions = Vec::new();
-        let mut pool = BytesPool::new();
         let rates = vec![Some(1_000_000_000u64), None];
-        let mut ctx = Ctx::new(
-            Nanos(100),
-            NodeId(0),
-            &mut rng,
-            &rates,
-            &mut actions,
-            &mut pool,
-        );
+        let mut ctx = Ctx::new(Nanos(100), NodeId(0), &mut rng, &rates, &mut actions);
         assert_eq!(ctx.now(), Nanos(100));
         assert_eq!(ctx.link_rate(PortId(0)), Some(1_000_000_000));
         assert_eq!(ctx.link_rate(PortId(1)), None);
@@ -257,16 +230,8 @@ mod tests {
         let mut d = NullDevice::new();
         let mut rng = SimRng::seed_from_u64(1);
         let mut actions = Vec::new();
-        let mut pool = BytesPool::new();
         let rates = vec![];
-        let mut ctx = Ctx::new(
-            Nanos(0),
-            NodeId(0),
-            &mut rng,
-            &rates,
-            &mut actions,
-            &mut pool,
-        );
+        let mut ctx = Ctx::new(Nanos(0), NodeId(0), &mut rng, &rates, &mut actions);
         let f = EthFrame::new(
             MacAddr::local(1),
             MacAddr::local(2),

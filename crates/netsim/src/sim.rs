@@ -5,6 +5,7 @@
 //! deterministic: the same build order + seed produces bit-identical
 //! traces on every platform.
 
+use crate::bytes::Bytes;
 use crate::event::{EventKind, EventQueue};
 use crate::frame::EthFrame;
 use crate::link::{Link, LinkId, LinkSpec};
@@ -13,7 +14,6 @@ use crate::rng::SimRng;
 use crate::tap::{Tap, TapDir, TapId};
 use crate::time::{NanoDur, Nanos};
 use crate::trace::{DropReason, TraceEvent, TraceSink};
-use crate::bytes::BytesPool;
 
 /// Flat struct-of-arrays node storage.
 ///
@@ -135,7 +135,6 @@ pub struct Simulator {
     rng: SimRng,
     started: bool,
     scratch: Vec<Action>,
-    pool: BytesPool,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -163,14 +162,7 @@ impl Simulator {
             rng: SimRng::seed_from_u64(seed),
             started: false,
             scratch: Vec::new(),
-            pool: BytesPool::new(),
         }
-    }
-
-    /// The payload buffer pool (e.g. to read hit/miss counters in
-    /// tests and capacity planning).
-    pub fn pool(&self) -> &BytesPool {
-        &self.pool
     }
 
     /// Current simulated time.
@@ -346,7 +338,6 @@ impl Simulator {
                     &mut self.nodes.rngs[idx],
                     &self.nodes.rates[s as usize..(s + l) as usize],
                     &mut actions,
-                    &mut self.pool,
                 );
                 self.nodes.devices[idx].on_start(&mut ctx);
             }
@@ -365,7 +356,6 @@ impl Simulator {
                 &mut self.nodes.rngs[node.0],
                 &self.nodes.rates[s as usize..(s + l) as usize],
                 &mut actions,
-                &mut self.pool,
             );
             self.nodes.devices[node.0].on_frame(&mut ctx, port, frame);
         }
@@ -383,7 +373,6 @@ impl Simulator {
                 &mut self.nodes.rngs[node.0],
                 &self.nodes.rates[s as usize..(s + l) as usize],
                 &mut actions,
-                &mut self.pool,
             );
             self.nodes.devices[node.0].on_timer(&mut ctx, token);
         }
@@ -454,7 +443,7 @@ impl Simulator {
                 return;
             }
             V::Corrupt => {
-                corrupt_payload(&mut frame, &mut dir.rng, &mut self.pool);
+                corrupt_payload(&mut frame, &mut dir.rng);
                 self.trace.on_corrupted(TraceEvent::Corrupted {
                     at: depart,
                     link: lid,
@@ -513,7 +502,7 @@ impl Simulator {
     }
 }
 
-fn corrupt_payload(frame: &mut EthFrame, rng: &mut SimRng, pool: &mut BytesPool) {
+fn corrupt_payload(frame: &mut EthFrame, rng: &mut SimRng) {
     if frame.payload.is_empty() {
         // Nothing to flip in the payload; damage the ethertype instead,
         // which receivers will reject just the same.
@@ -522,23 +511,20 @@ fn corrupt_payload(frame: &mut EthFrame, rng: &mut SimRng, pool: &mut BytesPool)
     }
     let idx = rng.below(frame.payload.len() as u64) as usize;
     // Flip in place when this frame holds the only reference to the
-    // payload (the common case: no duplicate, no tap capture); fall
-    // back to copy-on-write into a pooled buffer when shared.
+    // payload (the common case: no duplicate, no tap capture); copy
+    // when shared, so the other holders keep the original bytes.
     if let Some(bytes) = frame.payload.get_mut() {
         bytes[idx] ^= 0xFF;
     } else {
-        let src = frame.payload.clone();
-        frame.payload = pool.take_with(src.len(), |b| {
-            b.copy_from_slice(&src);
-            b[idx] ^= 0xFF;
-        });
+        let mut copy = frame.payload.to_vec();
+        copy[idx] ^= 0xFF;
+        frame.payload = Bytes::from(copy);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytes::Bytes;
     use crate::fault::FaultSpec;
     use crate::frame::{ethertype, EthFrame, MacAddr};
     use crate::node::NullDevice;
@@ -723,28 +709,6 @@ mod tests {
         let c = sim.add_node(NullDevice::new());
         sim.connect(a, PortId(0), b, PortId(0), LinkSpec::gigabit());
         sim.connect(a, PortId(0), c, PortId(0), LinkSpec::gigabit());
-    }
-
-    #[test]
-    fn payload_pool_recycles_on_hot_path() {
-        use crate::devices::PeriodicSource;
-        let mut sim = Simulator::new(9);
-        let src = sim.add_node(PeriodicSource::new(
-            "src",
-            MacAddr::local(1),
-            MacAddr::local(2),
-            46,
-            NanoDur::from_micros(10),
-        ));
-        let dst = sim.add_node(NullDevice::new());
-        sim.connect(src, PortId(0), dst, PortId(0), LinkSpec::gigabit());
-        sim.run_until(Nanos::from_millis(1));
-        // ~100 frames but only a couple of distinct in-flight buffers:
-        // after the first frame is delivered and dropped, its payload
-        // returns to the pool and every later frame recycles it.
-        let pool = sim.pool();
-        assert!(pool.hits() > 10, "hits={}", pool.hits());
-        assert!(pool.misses() <= 2, "misses={}", pool.misses());
     }
 
     #[test]

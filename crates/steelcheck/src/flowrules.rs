@@ -14,8 +14,8 @@
 //! - **R12 `hot-path-alloc`** — allocation-shaped calls (`Vec::new`,
 //!   `with_capacity`, `clone`, `collect`, `to_vec`, `format!`, …)
 //!   inside loops of functions reachable from the simulator's `run*`
-//!   methods, the event/arena/pool internals, or xdpsim's `exec_*`
-//!   compiled paths.
+//!   methods, the event-queue/`Ctx`/`Bytes` internals, or xdpsim's
+//!   `exec_*` compiled paths.
 //! - **R13 `float-accum-order`** — f64 compound accumulations (and
 //!   `.sum::<f64>()`/float `fold`s) in loops reachable from a figure
 //!   binary or the cost-accounting layer. The accumulation order is
@@ -58,9 +58,10 @@ const ALLOC_METHODS: &[&str] = &["to_vec", "to_string", "to_owned", "collect", "
 /// Macros that allocate.
 const ALLOC_MACROS: &[&str] = &["format", "vec"];
 
-/// Hot-path files whose every function is an R12 entry: the allocation
-/// discipline of the event loop, arena, and payload pool is the whole
-/// point of those files.
+/// Hot-path files whose every function is an R12 entry: the event
+/// queue, the per-callback `Ctx`, and the frame payload buffer all run
+/// once per event, so keeping allocation out of their loops is the
+/// whole point of those files.
 const HOT_FILES: &[&str] = &[
     "crates/netsim/src/event.rs",
     "crates/netsim/src/node.rs",
@@ -599,7 +600,7 @@ fn rule_hot_path_alloc(
                     "hot-path-alloc",
                     &format!(
                         "`{label}` allocates inside a loop on a simulation hot path; \
-                         hoist it out of the loop or reuse a pooled buffer — the \
+                         hoist it out of the loop or reuse a scratch buffer — the \
                          event-loop rearchitecture exists to keep allocation off the \
                          per-event path"
                     ),

@@ -57,8 +57,8 @@
 //!   the lock was taken several callers up.
 //! - **R12 `hot-path-alloc`** — no allocation-shaped call inside a
 //!   loop of any function reachable from the simulator's `run*`
-//!   methods, the event/arena/pool internals, or xdpsim's compiled
-//!   `exec_*` paths.
+//!   methods, the event-queue/`Ctx`/`Bytes` internals, or xdpsim's
+//!   compiled `exec_*` paths.
 //! - **R13 `float-accum-order`** — every f64 loop accumulation
 //!   reachable from a figure binary or the cost-accounting layer must
 //!   be justified inline or carried in the committed repo-root

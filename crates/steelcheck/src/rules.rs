@@ -160,12 +160,13 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "hot-path-alloc",
         summary: "no allocation-shaped calls in loops on simulation hot paths (R12)",
-        rationale: "The campus-scale rearchitecture (arena nodes, pooled payloads, \
-                    calendar queue) exists to get allocation out of the per-event path; \
-                    one Vec::new or clone() in a loop reachable from Sim::run*, the \
-                    event/arena/pool internals, or xdpsim's exec_* quietly re-introduces \
-                    the cost at 10M events/sec scale. Hoist the allocation out of the \
-                    loop, reuse a pooled buffer, or justify the site inline.",
+        rationale: "The simulator's per-event path runs millions of times per campus \
+                    artifact, and its arena node tables, pre-sized event queue and reused \
+                    action scratch exist to keep allocation off it; one Vec::new or \
+                    clone() in a loop reachable from Sim::run*, the event-queue/Ctx/Bytes \
+                    internals, or xdpsim's exec_* quietly re-introduces the cost at 10M \
+                    events/sec scale. Hoist the allocation out of the loop, reuse a \
+                    scratch buffer, or justify the site inline.",
         suppressible: true,
     },
     RuleInfo {

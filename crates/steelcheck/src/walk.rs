@@ -5,7 +5,9 @@
 //! and manifests, and classifies each file for rule scoping. It never
 //! descends into `target/`, `.git/`, or any `fixtures/` directory —
 //! fixture files contain deliberate violations for steelcheck's own
-//! tests and must not fail the real workspace.
+//! tests and must not fail the real workspace. Nor does it enter a
+//! directory whose `Cargo.toml` declares its own `[workspace]`: as for
+//! cargo, that is a separate project, outside this workspace's rules.
 
 use crate::rules::FileClass;
 use std::fs;
@@ -39,12 +41,8 @@ pub enum FileKind {
 pub fn find_workspace_root(start: &Path) -> io::Result<PathBuf> {
     let mut dir = start.canonicalize()?;
     loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.is_file() {
-            let text = fs::read_to_string(&manifest)?;
-            if text.lines().any(|l| l.trim() == "[workspace]") {
-                return Ok(dir);
-            }
+        if is_workspace_root(&dir)? {
+            return Ok(dir);
         }
         if !dir.pop() {
             return Err(io::Error::new(
@@ -53,6 +51,16 @@ pub fn find_workspace_root(start: &Path) -> io::Result<PathBuf> {
             ));
         }
     }
+}
+
+/// Does `dir` hold a `Cargo.toml` with a `[workspace]` table?
+fn is_workspace_root(dir: &Path) -> io::Result<bool> {
+    let manifest = dir.join("Cargo.toml");
+    if !manifest.is_file() {
+        return Ok(false);
+    }
+    let text = fs::read_to_string(&manifest)?;
+    Ok(text.lines().any(|l| l.trim() == "[workspace]"))
 }
 
 /// Collect every scannable file under `root`, sorted by relative path.
@@ -76,6 +84,9 @@ fn walk_dir(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<()
             .to_string();
         if path.is_dir() {
             if matches!(name.as_str(), "target" | ".git" | "fixtures" | "results") {
+                continue;
+            }
+            if is_workspace_root(&path)? {
                 continue;
             }
             walk_dir(root, &path, out)?;
@@ -223,6 +234,39 @@ mod tests {
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));
         let root = find_workspace_root(here).expect("workspace root");
         assert!(root.join("Cargo.lock").is_file());
+    }
+
+    #[test]
+    fn collect_skips_nested_workspaces() {
+        // A member crate is scanned; a nested project with its own
+        // `[workspace]` table is not, exactly as cargo scopes them.
+        let dir = std::env::temp_dir().join("steelcheck_walk_nested_ws");
+        fs::remove_dir_all(&dir).ok();
+        for (rel, text) in [
+            ("Cargo.toml", "[workspace]\nmembers = [\"member\"]\n"),
+            ("member/Cargo.toml", "[package]\nname = \"member\"\n"),
+            ("member/src/lib.rs", "pub fn f() {}\n"),
+            (
+                "nested/Cargo.toml",
+                "[package]\nname = \"nested\"\n\n[workspace]\n",
+            ),
+            ("nested/src/main.rs", "fn main() {}\n"),
+            ("nested/inner/src/lib.rs", "pub fn g() {}\n"),
+        ] {
+            let path = dir.join(rel);
+            fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
+            fs::write(&path, text).expect("write");
+        }
+        let rels: Vec<String> = collect(&dir)
+            .expect("collect")
+            .into_iter()
+            .map(|f| f.rel)
+            .collect();
+        fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            rels,
+            ["Cargo.toml", "member/Cargo.toml", "member/src/lib.rs"]
+        );
     }
 
     #[test]
