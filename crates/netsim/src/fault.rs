@@ -98,8 +98,9 @@ impl FaultSpec {
         }
     }
 
-    /// True when no fault can ever trigger (lets the engine skip the
-    /// injector entirely on clean links).
+    /// True when no fault can ever trigger. A link with such a spec
+    /// gets no injector and no fault stream: the engine delivers every
+    /// frame unchanged.
     pub fn is_none(&self) -> bool {
         self.drop_prob <= 0.0
             && self.corrupt_prob <= 0.0
@@ -137,11 +138,6 @@ impl FaultInjector {
             reordered: 0,
             rate_limited: 0,
         }
-    }
-
-    /// True when this injector can never alter traffic.
-    pub fn is_transparent(&self) -> bool {
-        self.spec.is_none()
     }
 
     /// Decide the fate of one frame of `wire_len` bytes at time `now`.
@@ -207,7 +203,6 @@ mod tests {
     #[test]
     fn clean_injector_is_transparent() {
         let mut inj = FaultInjector::new(FaultSpec::none());
-        assert!(inj.is_transparent());
         let mut rng = SimRng::seed_from_u64(1);
         for _ in 0..100 {
             assert_eq!(inj.judge(Nanos(0), 64, &mut rng), FaultVerdict::Deliver);

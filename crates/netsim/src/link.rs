@@ -2,8 +2,9 @@
 //!
 //! A link connects exactly two node ports. Each direction has its own
 //! transmitter state (serialization occupies the wire), propagation
-//! delay, fault injector, and attached taps. Shared media are modelled
-//! with switches, as in any modern Ethernet deployment.
+//! delay, fault injector (on faulty links only), and attached taps.
+//! Shared media are modelled with switches, as in any modern Ethernet
+//! deployment.
 
 use crate::fault::{FaultInjector, FaultSpec};
 use crate::node::{NodeId, PortId};
@@ -73,6 +74,10 @@ impl LinkSpec {
 }
 
 /// One direction of a link.
+///
+/// Only a faulty link carries fault state: a campus world has about one
+/// link per node and none of them faulty, and an injector with its
+/// stream on each direction of each link once held half its memory.
 #[derive(Debug)]
 pub struct LinkDir {
     /// Receiving node.
@@ -81,12 +86,37 @@ pub struct LinkDir {
     pub dst_port: PortId,
     /// Transmitter is occupied until this instant.
     pub tx_free_at: Nanos,
-    /// Fault injector for this direction.
-    pub faults: FaultInjector,
-    /// Private RNG stream for fault decisions.
-    pub rng: SimRng,
+    /// Fault state; `None` when the link's [`FaultSpec`] can never
+    /// fault, and every frame is delivered unchanged.
+    pub faults: Option<Box<DirFaults>>,
     /// Frames that completed serialization on this direction.
     pub frames_sent: u64,
+}
+
+/// Fault state of one direction of a faulty link.
+#[derive(Debug)]
+pub struct DirFaults {
+    /// Fault injector for this direction.
+    pub injector: FaultInjector,
+    /// Private RNG stream for fault decisions.
+    pub rng: SimRng,
+}
+
+impl LinkDir {
+    fn new(dst: (NodeId, PortId), faults: &FaultSpec, rng: SimRng) -> Self {
+        LinkDir {
+            dst_node: dst.0,
+            dst_port: dst.1,
+            tx_free_at: Nanos::ZERO,
+            faults: (!faults.is_none()).then(|| {
+                Box::new(DirFaults {
+                    injector: FaultInjector::new(faults.clone()),
+                    rng,
+                })
+            }),
+            frames_sent: 0,
+        }
+    }
 }
 
 /// A wired link: spec + per-direction state + attached taps.
@@ -107,7 +137,9 @@ pub struct Link {
 }
 
 impl Link {
-    /// Wire a link between two endpoints.
+    /// Wire a link between two endpoints. `rng_a` and `rng_b` are the
+    /// fault streams of the A→B and B→A directions; a clean link drops
+    /// them.
     pub fn new(
         spec: LinkSpec,
         a: (NodeId, PortId),
@@ -115,26 +147,11 @@ impl Link {
         rng_a: SimRng,
         rng_b: SimRng,
     ) -> Self {
-        let faults = spec.faults.clone();
         Link {
             a,
             b,
-            a_to_b: LinkDir {
-                dst_node: b.0,
-                dst_port: b.1,
-                tx_free_at: Nanos::ZERO,
-                faults: FaultInjector::new(faults.clone()),
-                rng: rng_a,
-                frames_sent: 0,
-            },
-            b_to_a: LinkDir {
-                dst_node: a.0,
-                dst_port: a.1,
-                tx_free_at: Nanos::ZERO,
-                faults: FaultInjector::new(faults),
-                rng: rng_b,
-                frames_sent: 0,
-            },
+            a_to_b: LinkDir::new(b, &spec.faults, rng_a),
+            b_to_a: LinkDir::new(a, &spec.faults, rng_b),
             spec,
             taps: Vec::new(),
         }
@@ -197,5 +214,37 @@ mod tests {
         assert!(link.dir_from(NodeId(2), PortId(0)).is_none());
         assert!(link.is_a_side(NodeId(0), PortId(0)));
         assert!(!link.is_a_side(NodeId(1), PortId(2)));
+    }
+
+    #[test]
+    fn only_faulty_links_hold_fault_state() {
+        let link = |faults| {
+            Link::new(
+                LinkSpec::gigabit().with_faults(faults),
+                (NodeId(0), PortId(0)),
+                (NodeId(1), PortId(0)),
+                SimRng::seed_from_u64(1),
+                SimRng::seed_from_u64(2),
+            )
+        };
+        for clean in [FaultSpec::none(), FaultSpec::lossy(0.0)] {
+            let l = link(clean);
+            assert!(l.a_to_b.faults.is_none() && l.b_to_a.faults.is_none());
+        }
+        let l = link(FaultSpec::lossy(0.1));
+        assert!(l.a_to_b.faults.is_some() && l.b_to_a.faults.is_some());
+    }
+
+    /// A campus world has about one link per node (100,880 in the
+    /// `campus` row), so every 100 B here is about 10 MB of campus peak
+    /// RSS.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn link_fits_campus_footprint() {
+        let size = std::mem::size_of::<Link>();
+        assert!(
+            size <= 256,
+            "Link is {size} B; one per node makes each 100 B about 10 MB of campus peak RSS"
+        );
     }
 }

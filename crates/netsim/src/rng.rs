@@ -6,7 +6,7 @@
 //! platform, from an offline checkout. The generator is therefore
 //! vendored in-repo rather than pulled from crates.io: a ChaCha12
 //! stream cipher core (the same algorithm `rand_chacha::ChaCha12Rng`
-//! pins) with the exact output-buffering, seeding and sampling
+//! pins) with the exact word-order, seeding and sampling
 //! conventions of `rand_core` 0.6 / `rand` 0.8, so the stream is
 //! bit-identical to the previously used `rand_chacha`-backed
 //! implementation. Known-answer tests below anchor the block function
@@ -31,10 +31,13 @@ fn quarter(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     s[b] = (s[b] ^ s[c]).rotate_left(7);
 }
 
-/// Number of u32 results buffered per refill: four 16-word ChaCha
-/// blocks, matching `rand_chacha`'s four-block-wide backend so the
-/// word order of the output stream is identical.
-const BUF_WORDS: usize = 64;
+/// Number of u32 results buffered per refill: one 16-word ChaCha
+/// block. Every reader takes keystream words in counter order
+/// (`next_u64` splices across a refill, `fill_bytes` consumes whole
+/// words), so the stream is the same at any buffer width — including
+/// `rand_chacha`'s four blocks. One block keeps a `SimRng` small, and a
+/// campus world holds one per node.
+const BUF_WORDS: usize = 16;
 
 /// ChaCha12 keystream generator in the original (djb) configuration:
 /// 64-bit block counter in words 12–13, 64-bit nonce (always zero
@@ -45,7 +48,7 @@ struct ChaCha12 {
     key: [u32; 8],
     /// 64-bit block counter of the *next* refill.
     counter: u64,
-    /// Buffered keystream: 4 consecutive blocks.
+    /// Buffered keystream: the block before `counter`.
     buf: [u32; BUF_WORDS],
     /// Next unconsumed word in `buf`; `BUF_WORDS` means empty.
     index: usize,
@@ -68,8 +71,8 @@ impl ChaCha12 {
         }
     }
 
-    /// One 12-round block for block counter `ctr`, written to `out`.
-    fn block(&self, ctr: u64, out: &mut [u32]) {
+    /// One 12-round block for block counter `ctr`.
+    fn block(&self, ctr: u64) -> [u32; 16] {
         let mut init = [0u32; 16];
         init[..4].copy_from_slice(&Self::CONSTANTS);
         init[4..12].copy_from_slice(&self.key);
@@ -87,21 +90,18 @@ impl ChaCha12 {
             quarter(&mut s, 2, 7, 8, 13);
             quarter(&mut s, 3, 4, 9, 14);
         }
-        for i in 0..16 {
-            out[i] = s[i].wrapping_add(init[i]);
+        for (w, i) in s.iter_mut().zip(init) {
+            *w = w.wrapping_add(i);
         }
+        s
     }
 
-    /// Refill the 4-block buffer and position the cursor at `index`.
+    /// Refill the buffer with the next block and position the cursor at
+    /// `index`.
     fn generate_and_set(&mut self, index: usize) {
         debug_assert!(index < BUF_WORDS);
-        for i in 0..4 {
-            let ctr = self.counter.wrapping_add(i as u64);
-            let mut words = [0u32; 16];
-            self.block(ctr, &mut words);
-            self.buf[16 * i..16 * (i + 1)].copy_from_slice(&words);
-        }
-        self.counter = self.counter.wrapping_add(4);
+        self.buf = self.block(self.counter);
+        self.counter = self.counter.wrapping_add(1);
         self.index = index;
     }
 
@@ -427,7 +427,9 @@ mod tests {
     /// of one buffer with the first of the next (BlockRng convention).
     #[test]
     fn u64_across_refill_boundary() {
-        // Consume 63 words, leaving exactly one in the buffer.
+        // Consume 63 words, leaving exactly one in the buffer: word 63
+        // ends block 3, and so ends a refill at a buffer width of one
+        // block or of four.
         let mut a = SimRng::from_seed([0u8; 32]);
         for _ in 0..63 {
             a.next_u32();
@@ -458,6 +460,59 @@ mod tests {
         );
         // Byte 14–16 of word 3 are discarded: the next word is word 4.
         assert_eq!(a.next_u32(), 0xbbc3_2904);
+    }
+
+    /// The buffer width cannot be observed: a seeded mix of
+    /// `next_u32`, `next_u64` and `fill_bytes` of 0–70 bytes, over more
+    /// than 12 blocks, reads exactly the keystream words of blocks 0,
+    /// 1, 2, … in order, whichever reads cross a refill. `fill_bytes`
+    /// drops the unused tail of its last word.
+    #[test]
+    fn buffer_width_is_unobservable() {
+        for seed in 0..16 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let keystream: Vec<u32> = (0..16).flat_map(|ctr| rng.inner.block(ctr)).collect();
+            let mut mix = SimRng::seed_from_u64(0xB10C + seed);
+            let mut pos = 0;
+            while pos < 12 * 16 {
+                match mix.below(3) {
+                    0 => {
+                        assert_eq!(rng.next_u32(), keystream[pos], "seed {seed} word {pos}");
+                        pos += 1;
+                    }
+                    1 => {
+                        let want = keystream[pos] as u64 | (keystream[pos + 1] as u64) << 32;
+                        assert_eq!(rng.next_u64(), want, "seed {seed} word {pos}");
+                        pos += 2;
+                    }
+                    _ => {
+                        let mut dest = vec![0u8; mix.below(71) as usize];
+                        rng.fill_bytes(&mut dest);
+                        let words = dest.len().div_ceil(4);
+                        let want: Vec<u8> = keystream[pos..pos + words]
+                            .iter()
+                            .flat_map(|w| w.to_le_bytes())
+                            .take(dest.len())
+                            .collect();
+                        assert_eq!(dest, want, "seed {seed} word {pos}");
+                        pos += words;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Campus worlds hold one `SimRng` per node (100,640 in the
+    /// `campus` row), so every 100 B here is about 10 MB of campus
+    /// peak RSS.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn simrng_fits_campus_footprint() {
+        let size = std::mem::size_of::<SimRng>();
+        assert!(
+            size <= 128,
+            "SimRng is {size} B; one per node makes each 100 B about 10 MB of campus peak RSS"
+        );
     }
 
     #[test]

@@ -7,8 +7,9 @@
 
 use crate::bytes::Bytes;
 use crate::event::{EventKind, EventQueue};
+use crate::fault::FaultVerdict as V;
 use crate::frame::EthFrame;
-use crate::link::{Link, LinkId, LinkSpec};
+use crate::link::{DirFaults, Link, LinkId, LinkSpec};
 use crate::node::{Action, Ctx, Device, NodeId, PortId};
 use crate::rng::SimRng;
 use crate::tap::{Tap, TapDir, TapId};
@@ -179,6 +180,10 @@ impl Simulator {
 
     /// Wire `(a, pa)` to `(b, pb)` with the given link spec. Panics if
     /// either port is already wired — silent rewiring is always a bug.
+    ///
+    /// Both fault streams are forked even for a clean link, which drops
+    /// them, so every later fork in the world is the same whatever the
+    /// link's faults.
     pub fn connect(
         &mut self,
         a: NodeId,
@@ -257,10 +262,11 @@ impl Simulator {
     /// Total frames the fault injectors dropped on a link (both dirs).
     pub fn link_drops(&self, link: LinkId) -> u64 {
         let l = &self.links[link.0];
-        l.a_to_b.faults.dropped()
-            + l.a_to_b.faults.rate_limited()
-            + l.b_to_a.faults.dropped()
-            + l.b_to_a.faults.rate_limited()
+        [&l.a_to_b, &l.b_to_a]
+            .into_iter()
+            .filter_map(|dir| dir.faults.as_deref())
+            .map(|f| f.injector.dropped() + f.injector.rate_limited())
+            .sum()
     }
 
     /// Run until the clock reaches `t` (inclusive of events at `t`).
@@ -422,14 +428,20 @@ impl Simulator {
             wire_len: frame.wire_len(),
         });
 
-        // Fate of the frame over this hop.
-        let verdict = if dir.faults.is_transparent() {
-            crate::fault::FaultVerdict::Deliver
-        } else {
-            dir.faults.judge(start, frame.wire_len(), &mut dir.rng)
+        // Fate of the frame over this hop: a direction without fault
+        // state delivers; otherwise its injector judges, and a corrupted
+        // frame is damaged from the same stream.
+        let verdict = match dir.faults.as_deref_mut() {
+            None => V::Deliver,
+            Some(DirFaults { injector, rng }) => {
+                let verdict = injector.judge(start, frame.wire_len(), rng);
+                if verdict == V::Corrupt {
+                    corrupt_payload(&mut frame, rng);
+                }
+                verdict
+            }
         };
 
-        use crate::fault::FaultVerdict as V;
         let mut extra = NanoDur::ZERO;
         let mut duplicate = false;
         match verdict {
@@ -443,7 +455,6 @@ impl Simulator {
                 return;
             }
             V::Corrupt => {
-                corrupt_payload(&mut frame, &mut dir.rng);
                 self.trace.on_corrupted(TraceEvent::Corrupted {
                     at: depart,
                     link: lid,
@@ -560,14 +571,19 @@ mod tests {
         }
     }
 
-    fn world(faults: FaultSpec) -> (Simulator, NodeId) {
-        let mut sim = Simulator::new(42);
-        let src = sim.add_node(Blaster {
-            count: 100,
+    /// `count` minimum-size frames, one per 10 µs.
+    fn blaster(count: u64) -> Blaster {
+        Blaster {
+            count,
             sent: 0,
             payload_len: 46,
             interval: NanoDur::from_micros(10),
-        });
+        }
+    }
+
+    fn world(faults: FaultSpec) -> (Simulator, NodeId) {
+        let mut sim = Simulator::new(42);
+        let src = sim.add_node(blaster(100));
         let dst = sim.add_node(NullDevice::new());
         sim.connect(
             src,
@@ -618,6 +634,44 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// A clean link drops its two fault streams but still forks them,
+    /// so what a later faulty link draws does not depend on whether an
+    /// earlier link is faulty; and `lossy(0.0)` is a clean link.
+    #[test]
+    fn clean_links_keep_the_world_stream() {
+        // Sink arrival times on a `carrying` link wired after an idle
+        // link with `idle` faults.
+        let arrivals = |idle: FaultSpec, carrying: FaultSpec| {
+            let mut sim = Simulator::new(9);
+            let a = sim.add_node(NullDevice::new());
+            let b = sim.add_node(NullDevice::new());
+            let idle = LinkSpec::gigabit().with_faults(idle);
+            sim.connect(a, PortId(0), b, PortId(0), idle);
+            let (src, dst) = (sim.add_node(blaster(100)), sim.add_node(NullDevice::new()));
+            let carrying = LinkSpec::gigabit().with_faults(carrying);
+            sim.connect(src, PortId(0), dst, PortId(0), carrying);
+            sim.record_events(true);
+            sim.run_until(Nanos::from_millis(2));
+            assert_eq!(sim.node_ref::<NullDevice>(b).frames_seen(), 0);
+            let at_dst = |e: &TraceEvent| match e {
+                TraceEvent::Delivered { at, node, .. } if *node == dst => Some(*at),
+                _ => None,
+            };
+            let events = sim.trace().events().iter();
+            events.filter_map(at_dst).collect::<Vec<_>>()
+        };
+        let (none, lossy) = (FaultSpec::none, FaultSpec::lossy);
+        let faulty = arrivals(none(), lossy(0.3));
+        let n = faulty.len();
+        assert!((50..90).contains(&n), "{n} arrivals");
+        assert_eq!(arrivals(lossy(0.5), lossy(0.3)), faulty);
+        assert_eq!(arrivals(lossy(0.0), lossy(0.3)), faulty);
+        let clean = arrivals(none(), none());
+        assert_eq!(clean.len(), 100);
+        assert_eq!(arrivals(lossy(0.0), none()), clean);
+        assert_eq!(arrivals(none(), lossy(0.0)), clean);
+    }
+
     #[test]
     fn unwired_port_drops() {
         let mut sim = Simulator::new(1);
@@ -636,12 +690,7 @@ mod tests {
     #[test]
     fn tap_sees_every_frame_once() {
         let mut sim = Simulator::new(7);
-        let src = sim.add_node(Blaster {
-            count: 10,
-            sent: 0,
-            payload_len: 46,
-            interval: NanoDur::from_micros(10),
-        });
+        let src = sim.add_node(blaster(10));
         let dst = sim.add_node(NullDevice::new());
         let link = sim.connect(src, PortId(0), dst, PortId(0), LinkSpec::gigabit());
         let tap = sim.attach_tap(link, Tap::hardware_default());

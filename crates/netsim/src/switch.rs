@@ -14,10 +14,15 @@ use crate::time::{NanoDur, Nanos};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Per-egress-port scheduler state.
+///
+/// The eight queues are created by the port's first enqueue: eight
+/// empty `VecDeque`s are 256 B, and in a campus world about half the
+/// switch ports (those facing sources) never enqueue.
 #[derive(Debug, Default)]
 struct Egress {
-    /// One FIFO per PCP, index 7 = highest priority.
-    queues: [VecDeque<EthFrame>; 8],
+    /// One FIFO per PCP, index 7 = highest priority; `None` until the
+    /// first enqueue.
+    queues: Option<Box<[VecDeque<EthFrame>; 8]>>,
     /// Transmitter busy until (mirrors the link's serialization state).
     busy_until: Nanos,
     /// Latest time a drain timer is already pending for, so a burst of
@@ -32,11 +37,17 @@ struct Egress {
 
 impl Egress {
     fn depth(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.queues
+            .as_ref()
+            .map_or(0, |qs| qs.iter().map(VecDeque::len).sum())
     }
 
     fn pop_highest(&mut self) -> Option<EthFrame> {
-        self.queues.iter_mut().rev().find_map(|q| q.pop_front())
+        self.queues
+            .as_mut()?
+            .iter_mut()
+            .rev()
+            .find_map(VecDeque::pop_front)
     }
 }
 
@@ -159,7 +170,7 @@ impl LearningSwitch {
             return;
         }
         let pcp = frame.priority().min(7) as usize;
-        eg.queues[pcp].push_back(frame);
+        eg.queues.get_or_insert_with(Box::default)[pcp].push_back(frame);
         let depth = eg.depth();
         eg.peak_depth = eg.peak_depth.max(depth);
         self.drain(ctx, port);
@@ -458,5 +469,17 @@ mod tests {
             100
         );
         assert!(s.peak_queue_depth() <= 10);
+    }
+
+    /// A campus world has 101,440 switch ports, so every 100 B here is
+    /// about 10 MB of campus peak RSS.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn egress_fits_campus_footprint() {
+        let size = std::mem::size_of::<Egress>();
+        assert!(
+            size <= 64,
+            "Egress is {size} B; one per switch port makes each 100 B about 10 MB of campus peak RSS"
+        );
     }
 }

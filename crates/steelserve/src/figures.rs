@@ -595,19 +595,7 @@ fn fig6(out: &mut String, accuracy_pct: u64, client_counts: &[u64], jobs: usize)
 fn fig_campus(out: &mut String, spec_scales: &[crate::spec::CampusScale], jobs: usize) {
     let scales: Vec<(String, CampusConfig)> = spec_scales
         .iter()
-        .map(|s| {
-            (
-                s.name.clone(),
-                CampusConfig {
-                    cells: s.cells as usize,
-                    leaves_per_cell: s.leaves_per_cell as usize,
-                    endpoints_per_leaf: s.endpoints_per_leaf as usize,
-                    period: NanoDur::from_micros(s.period_us),
-                    cycles: s.cycles,
-                    seed: s.seed,
-                },
-            )
-        })
+        .map(|s| (s.name.clone(), s.config()))
         .collect();
     wln!(out, "# fig_campus — ring-of-leaf-spine campus scaling study");
     wln!(

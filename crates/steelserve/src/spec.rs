@@ -26,6 +26,8 @@ use crate::json::Value;
 use crate::sha::sha256_hex;
 use std::collections::BTreeMap;
 use std::fmt;
+use steelworks_core::campus::CampusConfig;
+use steelworks_netsim::time::NanoDur;
 
 /// The standard figure seed (`steelworks_bench::FIGURE_SEED`).
 pub const FIGURE_SEED: u64 = 0x57EE1;
@@ -50,6 +52,20 @@ pub struct CampusScale {
     pub cycles: u64,
     /// World seed.
     pub seed: u64,
+}
+
+impl CampusScale {
+    /// The campus world this scale builds.
+    pub fn config(&self) -> CampusConfig {
+        CampusConfig {
+            cells: self.cells as usize,
+            leaves_per_cell: self.leaves_per_cell as usize,
+            endpoints_per_leaf: self.endpoints_per_leaf as usize,
+            period: NanoDur::from_micros(self.period_us),
+            cycles: self.cycles,
+            seed: self.seed,
+        }
+    }
 }
 
 /// A parsed, validated scenario spec.
@@ -440,6 +456,11 @@ fn default_campus_scales() -> Vec<CampusScale> {
     ]
 }
 
+/// Largest campus world one scale may build, in nodes. The per-field
+/// ranges alone allow 64 × 64 × 1,024, a world of 4.2M nodes and
+/// several GB; this leaves room for a 10⁶-node row (about 1.2 GB).
+const MAX_CAMPUS_NODES: usize = 1 << 20;
+
 fn parse_scale(value: &Value) -> Result<CampusScale, SpecError> {
     let obj = value
         .as_obj()
@@ -467,7 +488,7 @@ fn parse_scale(value: &Value) -> Result<CampusScale, SpecError> {
     if endpoints % 2 != 0 {
         return Err(SpecError::new("`endpoints_per_leaf` must be even"));
     }
-    Ok(CampusScale {
+    let scale = CampusScale {
         name: name.to_string(),
         cells: field_u64(obj, "cells", 2, 2, 64)?,
         leaves_per_cell: field_u64(obj, "leaves_per_cell", 2, 2, 64)?,
@@ -475,7 +496,14 @@ fn parse_scale(value: &Value) -> Result<CampusScale, SpecError> {
         period_us: field_u64(obj, "period_us", 100, 10, 1_000_000)?,
         cycles: field_u64(obj, "cycles", 10, 1, 1_000)?,
         seed: field_u64(obj, "seed", 0xCA1, 0, i64::MAX as u64)?,
-    })
+    };
+    let nodes = scale.config().node_count();
+    if nodes > MAX_CAMPUS_NODES {
+        return Err(SpecError::new(format!(
+            "scale `{name}` is a world of {nodes} nodes; at most {MAX_CAMPUS_NODES} are allowed"
+        )));
+    }
+    Ok(scale)
 }
 
 /// A seeded mix of cheap, distinct scenario specs for the closed-loop
@@ -602,10 +630,26 @@ mod tests {
             r#"{"figure": "fig6", "client_counts": [0]}"#,
             r#"{"figure": "fig_campus", "scales": []}"#,
             r#"{"figure": "fig_campus", "scales": [{"name": "x", "endpoints_per_leaf": 9}]}"#,
+            r#"{"figure": "fig_campus", "scales": [{"name": "x", "cells": 64, "leaves_per_cell": 64, "endpoints_per_leaf": 1024}]}"#,
             r#"{"figure": "challenges", "trials": 1}"#,
         ] {
             assert!(Spec::parse(bad).is_err(), "{bad} should be rejected");
         }
+    }
+
+    /// Every field of a scale can be in range while the world is not:
+    /// the node count is bounded too, with room for a 10⁶-node row.
+    #[test]
+    fn campus_world_size_bounded() {
+        let scale = |cells, leaves, endpoints| {
+            Spec::parse(&format!(
+                r#"{{"figure": "fig_campus", "scales": [{{"name": "x", "cells": {cells}, "leaves_per_cell": {leaves}, "endpoints_per_leaf": {endpoints}}}]}}"#
+            ))
+        };
+        let err = scale(64, 64, 1_024).expect_err("4.2M nodes").to_string();
+        assert!(err.contains("4198528 nodes"), "{err}");
+        // 1,000,512 nodes.
+        assert!(scale(32, 32, 976).is_ok());
     }
 
     #[test]
